@@ -17,13 +17,12 @@ from .model import (AntennaLayout, DetectionParams, FhCode, RadarConfig,
                     load_config, load_fh_code, parse_config,
                     random_feasible_layout, save_fh_code, validate_config,
                     validate_detection)
-from .objective import (ObjectiveEvaluator, ObjectiveGrid, build_grid, f1_bar,
-                        f2_bar, f3_bar, f_weighted, finite_diff_grad,
-                        grad_f_weighted)
+from .objective import (ObjectiveEvaluator, ObjectiveGrid, build_grid,
+                        finite_diff_grad)
 from .output import __version__
 from .rgpm import (ArmijoParams, FeasiblePolytope, IterRecord, RgpmResult,
-                   StallError, active_set, armijo_step, projection_matrix,
-                   rgpm_multistart, rgpm_optimize)
+                   active_set, projection_matrix, rgpm_multistart,
+                   rgpm_optimize)
 from .theory import (TheoryBound, b_min, delay_lower_bound,
                      doppler_lower_bound, mmlwd_layout)
 
@@ -38,10 +37,9 @@ __all__ = [
     "ValidationError", "equidistant_layout", "generate_fh_code",
     "load_config", "load_fh_code", "parse_config", "random_feasible_layout",
     "save_fh_code", "validate_config", "validate_detection",
-    "ObjectiveEvaluator", "ObjectiveGrid", "build_grid", "f1_bar", "f2_bar",
-    "f3_bar", "f_weighted", "finite_diff_grad", "grad_f_weighted",
+    "ObjectiveEvaluator", "ObjectiveGrid", "build_grid", "finite_diff_grad",
     "ArmijoParams", "FeasiblePolytope", "IterRecord", "RgpmResult",
-    "StallError", "active_set", "armijo_step", "projection_matrix",
+    "active_set", "projection_matrix",
     "rgpm_multistart", "rgpm_optimize",
     "TheoryBound", "b_min", "delay_lower_bound", "doppler_lower_bound",
     "mmlwd_layout",

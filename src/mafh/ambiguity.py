@@ -162,9 +162,10 @@ def chi_mag_sq(query: AmbiguityQuery, layout: AntennaLayout, code: FhCode,
     and a total phase zeta collecting the subpulse phase, the hop/Doppler
     subpulse-offset phase, the probing-delay phase and the array position
     phase.  The squared magnitude is (sum eps*cos zeta)^2 + (sum eps*sin zeta)^2
-    over all (m, m', q, q'), divided by Q^2.  The optimizer's analytic gradient
-    differentiates exactly this decomposition, which is why it exists
-    separately from ``chi``; both must agree to floating-point accuracy.
+    over all (m, m', q, q'), divided by Q^2.  It builds no hop-pair kernel
+    table, so it serves as a table-free reference for the values that ``chi``
+    and the objectives compute from ``kernel_matrix``; both routes must agree
+    to floating-point accuracy.
     """
     _check_pair(layout, code)
     c = code.c.astype(float)
@@ -302,26 +303,35 @@ def af_slice(axis: str, layout: AntennaLayout, code: FhCode, cfg: RadarConfig,
     if lo < matched < hi and not np.isclose(coords, matched, atol=1e-15).any():
         coords = np.sort(np.append(coords, matched))
 
-    x = layout.x
     if axis == "angular":
         # evaluate through the full kernel so the cut stays exact for any
         # hop product, not only integer delta_f*delta_t
         G = kernel_matrix(0.0, 0.0, code, cfg)
-        a = steering(theta, x)
-        B = steering(coords, x)
+        a = steering(theta, layout.x)
+        B = steering(coords, layout.x)
         vals = np.abs(np.einsum("m,mn,pn->p", a, G, np.conj(B))) / cfg.Q
-    elif axis == "doppler":
-        G = kernel_matrix(0.0, coords, code, cfg)
-        a = steering(theta, x)
-        vals = np.abs(np.einsum("pmn,m,n->p", G, a, np.conj(a))) / cfg.Q
     else:
-        G = kernel_matrix(coords, 0.0, code, cfg)
-        a = steering(theta, x)
-        vals = np.abs(np.einsum("pmn,m,n->p", G, a, np.conj(a))) / cfg.Q
+        vals = matched_cut(axis, coords, layout, code, cfg, theta)
 
     meta = {"axis": axis, "theta": theta, "M_t": layout.M_t,
             "n_points": int(coords.size)}
     return AmbiguitySlice(axis=axis, coords=coords, values=vals, meta=meta)
+
+
+def matched_cut(axis: str, coords, layout: AntennaLayout, code: FhCode,
+                cfg: RadarConfig, theta: float) -> np.ndarray:
+    """|chi| at ``coords`` on the Doppler (Hz) or delay (s) axis, angles matched.
+
+    doppler: |chi(0, v, theta, theta)|; delay: |chi(tau, 0, theta, theta)|.
+    The coordinates are used as given.
+    """
+    coords = np.asarray(coords, dtype=float)
+    if axis == "doppler":
+        G = kernel_matrix(0.0, coords, code, cfg)
+    else:
+        G = kernel_matrix(coords, 0.0, code, cfg)
+    a = steering(theta, layout.x)
+    return np.abs(np.einsum("pmn,m,n->p", G, a, np.conj(a))) / cfg.Q
 
 
 def _db(values: np.ndarray, peak: float) -> np.ndarray:

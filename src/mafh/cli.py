@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from .ambiguity import af_slice, kernel_matrix, steering, write_slice_csv, \
-    write_slice_json
+from .ambiguity import af_slice, matched_cut, write_slice_csv, write_slice_json
 from .ga import GaParams, ga_optimize
 from .metrics import detection_probability, write_detection_csv
 from .model import (AntennaLayout, ValidationError, config_to_dict,
@@ -218,12 +217,7 @@ def cmd_theory(args) -> int:
     overlay = None
     if args.layout is not None:
         layout = _resolve_layout(args.layout, M_t, L, cfg_layout, args.seed)
-        a = steering(args.theta, layout.x)
-        if args.bound == "doppler":
-            G = kernel_matrix(0.0, coords, code, cfg)
-        else:
-            G = kernel_matrix(coords, 0.0, code, cfg)
-        overlay = np.abs(np.einsum("pmn,m,n->p", G, a, np.conj(a))) / cfg.Q
+        overlay = matched_cut(args.bound, coords, layout, code, cfg, args.theta)
         doc = config_to_dict(cfg, layout, det)
 
     path = out / f"theory_bound_{args.bound}.csv"
@@ -261,9 +255,8 @@ def cmd_optimize(args) -> int:
     ev = ObjectiveEvaluator(grid, code, cfg)
 
     if args.method == "rgpm":
-        best, runs = rgpm_multistart(poly, grid, code, cfg, M_t, L,
-                                     n_starts=args.starts, seed=args.seed,
-                                     K_max=args.kmax,
+        best, runs = rgpm_multistart(poly, ev, n_starts=args.starts,
+                                     seed=args.seed, K_max=args.kmax,
                                      T_threshold=args.threshold)
         final = best.layout
         doc = config_to_dict(cfg, final, det)
@@ -273,11 +266,14 @@ def cmd_optimize(args) -> int:
             "converged": best.converged, "stalled": best.stalled,
             "certificate": best.certificate,
             "iterations": best.trace[-1].k,
+            "per_start": [{"start": i, "reason": r.certificate["reason"],
+                           "iterations": r.trace[-1].k, "f_final": r.f_final}
+                          for i, r in enumerate(runs)],
         }
     else:
         params = GaParams(generations=args.generations,
                           population=args.population, seed=args.seed)
-        res = ga_optimize(poly, grid, code, cfg, params)
+        res = ga_optimize(poly, ev, params)
         final = res.layout
         doc = config_to_dict(cfg, final, det)
         write_csv(out / "trace.csv", {
@@ -322,17 +318,16 @@ def cmd_tradeoff(args) -> int:
         grid = build_grid(cfg, ref, alpha, theta_eval=args.theta_eval)
         ev = ObjectiveEvaluator(grid, code, cfg)
         if args.method == "rgpm":
-            best, _ = rgpm_multistart(poly, grid, code, cfg, M_t, L,
-                                      n_starts=args.starts, seed=args.seed,
-                                      K_max=args.kmax,
+            best, _ = rgpm_multistart(poly, ev, n_starts=args.starts,
+                                      seed=args.seed, K_max=args.kmax,
                                       T_threshold=args.threshold)
             layout = best.layout
         else:
             params = GaParams(generations=args.generations,
                               population=args.population, seed=args.seed)
-            layout = ga_optimize(poly, grid, code, cfg, params).layout
-        rec = _objective_record(ev, layout)
-        rows.append((alpha, rec))
+            layout = ga_optimize(poly, ev, params).layout
+        rows.append((alpha, _objective_record(ev, layout)))
+        del ev   # two live table sets would raise the sweep's peak memory
 
     f1s = np.array([r["f1"] for _, r in rows])
     f2s = np.array([r["f2"] for _, r in rows])
@@ -395,7 +390,7 @@ def cmd_detect(args) -> int:
             ref = _equidistant_budget(M_t, L)
             grid = build_grid(cfg, ref, alpha, theta_eval=args.theta_eval)
             poly = FeasiblePolytope.spacing_bounds(M_t, L)
-            best, _ = rgpm_multistart(poly, grid, code, cfg, M_t, L,
+            best, _ = rgpm_multistart(poly, ObjectiveEvaluator(grid, code, cfg),
                                       n_starts=args.starts, seed=args.seed)
             layout = best.layout
         else:

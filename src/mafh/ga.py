@@ -5,7 +5,7 @@ crossover (per-gene uniform mix), additive Gaussian mutation, elitism of one,
 and a repair step that first clamps genes to the half-wavelength floor and
 then scales the excess above the floor down until the aperture budget holds.
 Everything is driven by one seeded generator, so results are deterministic
-in (params, grid, code, cfg).
+in (params, evaluator).
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AntennaLayout, FhCode, RadarConfig, ValidationError
-from .objective import ObjectiveEvaluator, ObjectiveGrid
+from .model import AntennaLayout, ValidationError
+from .objective import ObjectiveEvaluator
 from .rgpm import FeasiblePolytope
 
 
@@ -69,16 +69,15 @@ def _random_population(rng, n_genes: int, L: float, size: int) -> np.ndarray:
     return pop
 
 
-def ga_optimize(poly: FeasiblePolytope, grid: ObjectiveGrid, code: FhCode,
-                cfg: RadarConfig, params: GaParams | None = None) -> GaResult:
-    """Minimize f_weighted with the baseline GA.  Deterministic in the seed."""
+def ga_optimize(poly: FeasiblePolytope, ev: ObjectiveEvaluator,
+                params: GaParams | None = None) -> GaResult:
+    """Minimize ``ev.f_weighted`` with the baseline GA.  Deterministic in the seed."""
     params = params or GaParams()
     n = poly.A.shape[1]
     L = -float(poly.b[-1])
     if L < 0.5 * n - 1e-9:
         raise ValidationError(f"L: aperture {L} infeasible for {n} spacings")
 
-    ev = ObjectiveEvaluator(grid, code, cfg)
     rng = np.random.default_rng(params.seed)
 
     pop = _random_population(rng, n, L, params.population)

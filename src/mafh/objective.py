@@ -15,12 +15,13 @@ and a single weight triple / gradient threshold is meaningful across them;
 in physical units f2 (per Hz) and f3 (per second) would differ by ~12
 orders of magnitude.  The sample coordinates themselves stay in Hz / s.
 
-The grid is fixed per run, so the hop-pair kernel tables of
-:func:`mafh.ambiguity.kernel_matrix` are precomputed once; each objective or
-gradient evaluation then reduces to small steering-vector contractions.  The
-gradient differentiates the same cosine/sine decomposition as
-:func:`mafh.ambiguity.chi_mag_sq`: only the array position phase depends on
-d, through the cumulative map x_m = sum_{i<=m} d_i.
+The grid is fixed per run, so :class:`ObjectiveEvaluator` builds the three
+hop-pair kernel tables of :func:`mafh.ambiguity.kernel_matrix` once, when it
+is constructed; each objective or gradient evaluation then reduces to
+steering-vector contractions written as plain matrix products.  Only the
+array steering phase depends on d, so the gradient is taken with respect to
+the element positions x_m, all M partials from one contraction, and carried
+to the spacings through x_m = sum_{i<=m} d_i: df/dd_i = sum_{m>=i} df/dx_m.
 """
 
 from __future__ import annotations
@@ -126,45 +127,27 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 class ObjectiveEvaluator:
     """Grid-bound objective/gradient engine operating on raw spacing vectors.
 
-    Kernel tables depend only on (grid, code, cfg) and are computed once;
-    evaluations for different spacing vectors d reuse them.  ``d`` is not
-    required to be feasible — the ambiguity surface is defined for any
-    positive spacings — which the finite-difference probes rely on.
+    The three kernel tables depend only on (grid, code, cfg).  They are built
+    here, once, and are read-only afterwards, so one evaluator serves every
+    descent of a command, concurrent ones included.  ``d`` is not required to
+    be feasible — the ambiguity surface is defined for any positive spacings
+    — which the finite-difference probes rely on.
     """
 
     def __init__(self, grid: ObjectiveGrid, code: FhCode, cfg: RadarConfig):
         if code.Q != cfg.Q:
             raise ValidationError(f"c: expected {cfg.Q} code columns, got {code.Q}")
         self.grid = grid
-        self.code = code
         self.cfg = cfg
         self.M = code.M_t
-        self._g1 = None
-        self._g2 = None
-        self._g3 = None
-        # Gamma[i, m] = 1 when element m sits beyond spacing i+1, i.e.
-        # d x_m / d d_{i+1} = 1.
-        self._gamma = (np.arange(self.M)[None, :]
-                       >= np.arange(1, self.M)[:, None]).astype(float)
-
-    # -- kernel tables -----------------------------------------------------
-
-    def _G1(self) -> np.ndarray:
-        if self._g1 is None:
-            self._g1 = kernel_matrix(0.0, 0.0, self.code, self.cfg)
-        return self._g1
-
-    def _G2(self) -> np.ndarray:
-        if self._g2 is None:
-            self._g2 = kernel_matrix(0.0, self.grid.v_samples, self.code, self.cfg)
-        return self._g2
-
-    def _G3(self) -> np.ndarray:
-        if self._g3 is None:
-            self._g3 = kernel_matrix(self.grid.tau_samples, 0.0, self.code, self.cfg)
-        return self._g3
-
-    # -- helpers -----------------------------------------------------------
+        # the Doppler and delay stacks are kept as (samples, M*M) matrices
+        self._g1 = kernel_matrix(0.0, 0.0, code, cfg)
+        self._g2 = kernel_matrix(0.0, grid.v_samples, code, cfg).reshape(
+            grid.v_samples.size, self.M * self.M)
+        self._g3 = kernel_matrix(grid.tau_samples, 0.0, code, cfg).reshape(
+            grid.tau_samples.size, self.M * self.M)
+        for table in (self._g1, self._g2, self._g3):
+            table.setflags(write=False)
 
     def _positions(self, d) -> np.ndarray:
         d = np.asarray(d, dtype=float)
@@ -174,124 +157,93 @@ class ObjectiveEvaluator:
             )
         return np.concatenate(([0.0], np.cumsum(d)))
 
-    # -- objective values ----------------------------------------------------
+    # -- contractions ----------------------------------------------------------
+    #
+    # Each returns (energy, d energy / d x) for positions x; the derivative is
+    # None unless ``grad``.  With a_m = exp(j*2*pi*x_m*sin(theta)), d a_m / d x_m
+    # = j*2*pi*sin(theta)*a_m, so d|chi|^2 / d x_m = 2 Re(conj(chi) d chi / d x_m)
+    # collects, for every m at once, the row-m and column-m terms of the
+    # contraction, each weighted by the sine of its own angle.
+
+    def _square(self, x: np.ndarray, grad: bool):
+        """f1: chi[t, s] = a(theta_t)^T G1 conj(a(theta_s)) / Q over the square."""
+        Q = self.cfg.Q
+        A = steering(self.grid.theta_samples, x)
+        Ac = A.conj()
+        AG = A @ self._g1
+        chi = AG @ Ac.T / Q
+        w = self.grid.d_theta ** 2
+        f = float(w * _abs2(chi).sum())
+        if not grad:
+            return f, None
+        cc = chi.conj()
+        rows = A * (cc @ (self._g1 @ Ac.T).T)   # theta_t side, (T, M)
+        cols = Ac * (cc.T @ AG)                 # theta_s side, (S, M)
+        sin_t = np.sin(self.grid.theta_samples)[:, None]
+        return f, -(4.0 * np.pi * w / Q) * (sin_t * (rows - cols)).imag.sum(axis=0)
+
+    def _cut(self, x: np.ndarray, G: np.ndarray, d_axis: float, grad: bool):
+        """f2/f3: chi[t, p] = a(theta_t)^T G[p] conj(a(theta_t)) / Q."""
+        Q, M = self.cfg.Q, self.M
+        A = steering(self.grid.theta_f23, x)
+        outer = (A[:, :, None] * A.conj()[:, None, :]).reshape(-1, M * M)
+        chi = outer @ G.T / Q
+        w = self.grid.w_theta23 * d_axis
+        f = float(w * _abs2(chi).sum())
+        if not grad:
+            return f, None
+        K = (outer * (chi.conj() @ G)).reshape(-1, M, M)
+        sin_t = np.sin(self.grid.theta_f23)[:, None]
+        diff = K.sum(axis=2) - K.sum(axis=1)    # row-m minus column-m terms
+        return f, -(4.0 * np.pi * w / Q) * (sin_t * diff).imag.sum(axis=0)
+
+    def _energy(self, k: int, x: np.ndarray, grad: bool = False):
+        if k == 0:
+            return self._square(x, grad)
+        if k == 1:
+            return self._cut(x, self._g2, self.grid.d_v, grad)
+        return self._cut(x, self._g3, self.grid.d_tau, grad)
+
+    # -- objective values and gradient -------------------------------------------
 
     def f1(self, d) -> float:
-        x = self._positions(d)
-        A = steering(self.grid.theta_samples, x)
-        chi = np.einsum("mn,tm,sn->ts", self._G1(), A, np.conj(A),
-                        optimize=True) / self.cfg.Q
-        return float(self.grid.d_theta ** 2 * _abs2(chi).sum())
+        """Angular mismatch energy of the spacings ``d``."""
+        return self._energy(0, self._positions(d))[0]
 
     def f2(self, d) -> float:
-        x = self._positions(d)
-        A = steering(self.grid.theta_f23, x)
-        chi = np.einsum("vmn,tm,tn->tv", self._G2(), A, np.conj(A),
-                        optimize=True) / self.cfg.Q
-        return float(self.grid.w_theta23 * self.grid.d_v * _abs2(chi).sum())
+        """Doppler mismatch energy of the spacings ``d``."""
+        return self._energy(1, self._positions(d))[0]
 
     def f3(self, d) -> float:
-        x = self._positions(d)
-        A = steering(self.grid.theta_f23, x)
-        chi = np.einsum("vmn,tm,tn->tv", self._G3(), A, np.conj(A),
-                        optimize=True) / self.cfg.Q
-        return float(self.grid.w_theta23 * self.grid.d_tau * _abs2(chi).sum())
+        """Delay mismatch energy of the spacings ``d``."""
+        return self._energy(2, self._positions(d))[0]
 
     def f_weighted(self, d) -> float:
-        a1, a2, a3 = self.grid.alpha
-        total = 0.0
-        if a1 > 0.0:
-            total += a1 * self.f1(d)
-        if a2 > 0.0:
-            total += a2 * self.f2(d)
-        if a3 > 0.0:
-            total += a3 * self.f3(d)
-        return total
-
-    # -- gradients -----------------------------------------------------------
-
-    def _grad_f1(self, x: np.ndarray) -> np.ndarray:
-        G, Q = self._G1(), self.cfg.Q
-        A = steering(self.grid.theta_samples, x)
-        Ac = np.conj(A)
-        chi = np.einsum("mn,tm,sn->ts", G, A, Ac, optimize=True) / Q
-        S1 = np.einsum("xm,mn,tm,sn->xts", self._gamma, G, A, Ac, optimize=True) / Q
-        S2 = np.einsum("xn,mn,tm,sn->xts", self._gamma, G, A, Ac, optimize=True) / Q
-        sin_t = np.sin(self.grid.theta_samples)
-        dchi = 2j * np.pi * (sin_t[None, :, None] * S1 - sin_t[None, None, :] * S2)
-        inner = 2.0 * (np.conj(chi)[None, :, :] * dchi).real
-        return self.grid.d_theta ** 2 * inner.sum(axis=(1, 2))
-
-    def _grad_f23(self, x: np.ndarray, G: np.ndarray, d_axis: float) -> np.ndarray:
-        Q = self.cfg.Q
-        A = steering(self.grid.theta_f23, x)
-        Ac = np.conj(A)
-        chi = np.einsum("vmn,tm,tn->tv", G, A, Ac, optimize=True) / Q
-        S1 = np.einsum("xm,vmn,tm,tn->xtv", self._gamma, G, A, Ac, optimize=True) / Q
-        S2 = np.einsum("xn,vmn,tm,tn->xtv", self._gamma, G, A, Ac, optimize=True) / Q
-        sin_t = np.sin(self.grid.theta_f23)
-        dchi = 2j * np.pi * sin_t[None, :, None] * (S1 - S2)
-        inner = 2.0 * (np.conj(chi)[None, :, :] * dchi).real
-        return self.grid.w_theta23 * d_axis * inner.sum(axis=(1, 2))
+        """alpha-weighted combination; zero-weight terms are skipped entirely."""
+        x = self._positions(d)
+        return sum((a * self._energy(k, x)[0]
+                    for k, a in enumerate(self.grid.alpha) if a > 0.0), 0.0)
 
     def grad_f_weighted(self, d) -> np.ndarray:
+        """Analytic gradient of f_weighted w.r.t. the M_t - 1 spacings."""
         x = self._positions(d)
-        a1, a2, a3 = self.grid.alpha
-        g = np.zeros(self.M - 1)
-        if a1 > 0.0:
-            g += a1 * self._grad_f1(x)
-        if a2 > 0.0:
-            g += a2 * self._grad_f23(x, self._G2(), self.grid.d_v)
-        if a3 > 0.0:
-            g += a3 * self._grad_f23(x, self._G3(), self.grid.d_tau)
-        return g
+        gx = np.zeros(self.M)
+        for k, a in enumerate(self.grid.alpha):
+            if a > 0.0:
+                gx += a * self._energy(k, x, grad=True)[1]
+        # x_m = d_1 + ... + d_m, so df/dd_i = sum_{m >= i} df/dx_m
+        return np.cumsum(gx[::-1])[::-1][1:]
 
 
-# ---------------------------------------------------------------------------
-# Layout-level entry points.
-# ---------------------------------------------------------------------------
-
-def f1_bar(layout: AntennaLayout, grid: ObjectiveGrid, code: FhCode,
-           cfg: RadarConfig) -> float:
-    """Angular mismatch energy of the layout on the grid."""
-    return ObjectiveEvaluator(grid, code, cfg).f1(layout.d)
-
-
-def f2_bar(layout: AntennaLayout, grid: ObjectiveGrid, code: FhCode,
-           cfg: RadarConfig) -> float:
-    """Doppler mismatch energy of the layout on the grid."""
-    return ObjectiveEvaluator(grid, code, cfg).f2(layout.d)
-
-
-def f3_bar(layout: AntennaLayout, grid: ObjectiveGrid, code: FhCode,
-           cfg: RadarConfig) -> float:
-    """Delay mismatch energy of the layout on the grid."""
-    return ObjectiveEvaluator(grid, code, cfg).f3(layout.d)
-
-
-def f_weighted(layout: AntennaLayout, grid: ObjectiveGrid, code: FhCode,
-               cfg: RadarConfig) -> float:
-    """alpha-weighted combination; zero-weight terms are skipped entirely."""
-    return ObjectiveEvaluator(grid, code, cfg).f_weighted(layout.d)
-
-
-def grad_f_weighted(layout: AntennaLayout, grid: ObjectiveGrid, code: FhCode,
-                    cfg: RadarConfig) -> np.ndarray:
-    """Analytic gradient of f_weighted w.r.t. the M_t - 1 spacings."""
-    return ObjectiveEvaluator(grid, code, cfg).grad_f_weighted(layout.d)
-
-
-def finite_diff_grad(layout: AntennaLayout, grid: ObjectiveGrid, code: FhCode,
-                     cfg: RadarConfig, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient oracle, step ``h`` in wavelengths.
+def finite_diff_grad(ev: ObjectiveEvaluator, d, h: float = 1e-6) -> np.ndarray:
+    """Central-difference oracle for ``ev.grad_f_weighted``, step ``h`` in wavelengths.
 
     Probes d +/- h*e_i directly on the spacing vector (the objective is
     defined for any positive spacings, so no feasibility clamp is needed).
     """
     if not h > 0:
         raise ValidationError(f"h: expected a positive step, got {h}")
-    ev = ObjectiveEvaluator(grid, code, cfg)
-    d = np.asarray(layout.d, dtype=float)
+    d = np.asarray(d, dtype=float)
     g = np.zeros(d.size)
     for i in range(d.size):
         dp, dm = d.copy(), d.copy()

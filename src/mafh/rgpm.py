@@ -13,22 +13,18 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AntennaLayout, FhCode, RadarConfig, ValidationError
+from .model import AntennaLayout, ValidationError
 from .model import equidistant_layout, random_feasible_layout
-from .objective import ObjectiveEvaluator, ObjectiveGrid
+from .objective import ObjectiveEvaluator
 from .output import write_csv
 from .theory import mmlwd_layout
 
 # Rows within this absolute slack (wavelength units) count as active.
 ACTIVE_TOL = 1e-9
-
-
-class StallError(RuntimeError):
-    """The line search found no acceptable step above omega_min."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,24 +133,33 @@ class ArmijoParams:
 
 
 def _max_feasible_step(d: np.ndarray, direction: np.ndarray,
-                       poly: FeasiblePolytope) -> float:
-    """Largest omega with A (d - omega*direction) >= b."""
+                       poly: FeasiblePolytope, working) -> float:
+    """Largest omega with A (d - omega*direction) >= b.
+
+    Rows of the working set are not blocking: ``direction`` lies in their
+    null space, and the roundoff left in A_i . direction would otherwise cap
+    the step at their zero slack.
+    """
     slack = np.maximum(poly.slacks(d), 0.0)
     along = poly.A @ direction
     scale = max(1.0, float(np.abs(direction).max()))
     blocking = along > 1e-15 * scale
+    blocking[list(working)] = False
     if not np.any(blocking):
         return np.inf
     return float(np.min(slack[blocking] / along[blocking]))
 
 
 def _armijo(fval, f0: float, d: np.ndarray, direction: np.ndarray,
-            poly: FeasiblePolytope, params: ArmijoParams):
-    """Backtrack along d - omega*direction.  Returns (omega, f_new, stalled)."""
+            poly: FeasiblePolytope, params: ArmijoParams, working):
+    """Backtrack along d - omega*direction.  Returns (omega, f_new, stalled).
+
+    ``working`` lists the constraint rows ``direction`` was projected onto.
+    """
     norm2 = float(direction @ direction)
     if norm2 == 0.0:
         raise ValidationError("descent direction is zero")
-    cap = _max_feasible_step(d, direction, poly)
+    cap = _max_feasible_step(d, direction, poly, working)
     omega = min(params.omega0, cap)
     while omega >= params.omega_min:
         f_new = fval(d - omega * direction)
@@ -162,25 +167,6 @@ def _armijo(fval, f0: float, d: np.ndarray, direction: np.ndarray,
             return omega, f_new, False
         omega *= params.rho
     return None, f0, True
-
-
-def armijo_step(d: AntennaLayout, descent_dir, poly: FeasiblePolytope,
-                grid: ObjectiveGrid, code: FhCode, cfg: RadarConfig,
-                params: ArmijoParams | None = None) -> float:
-    """Armijo step length for f_weighted along ``-descent_dir`` from ``d``.
-
-    Raises :class:`StallError` when no step above omega_min achieves the
-    sufficient decrease.
-    """
-    params = params or ArmijoParams()
-    ev = ObjectiveEvaluator(grid, code, cfg)
-    direction = np.asarray(descent_dir, dtype=float)
-    d0 = np.asarray(d.d, dtype=float)
-    omega, _, stalled = _armijo(ev.f_weighted, ev.f_weighted(d0), d0,
-                                direction, poly, params)
-    if stalled:
-        raise StallError("no acceptable Armijo step above omega_min")
-    return omega
 
 
 @dataclass(frozen=True)
@@ -204,12 +190,11 @@ class RgpmResult:
     f_final: float
 
 
-def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope, grid: ObjectiveGrid,
-                  code: FhCode, cfg: RadarConfig, K_max: int = 150,
+def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
+                  ev: ObjectiveEvaluator, K_max: int = 150,
                   T_threshold: float = 1e-2,
-                  armijo: ArmijoParams | None = None,
-                  evaluator: ObjectiveEvaluator | None = None) -> RgpmResult:
-    """Projected-gradient descent from ``d0`` with active-set dropping.
+                  armijo: ArmijoParams | None = None) -> RgpmResult:
+    """Projected-gradient descent of ``ev.f_weighted`` from ``d0``.
 
     Terminates when the projected gradient norm falls below ``T_threshold``
     and all active-constraint multipliers are nonnegative (KKT certificate),
@@ -221,7 +206,6 @@ def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope, grid: ObjectiveGrid
     if not T_threshold > 0:
         raise ValidationError(f"T_threshold: expected > 0, got {T_threshold}")
     armijo = armijo or ArmijoParams()
-    ev = evaluator or ObjectiveEvaluator(grid, code, cfg)
     d = np.asarray(d0.d, dtype=float).copy()
     if not poly.contains(d):
         raise ValidationError("d0: starting point is infeasible")
@@ -275,7 +259,8 @@ def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope, grid: ObjectiveGrid
                                     active_count=len(idx), omega=0.0))
             break
 
-        omega, f_new, stall = _armijo(ev.f_weighted, f_cur, d, pg, poly, armijo)
+        omega, f_new, stall = _armijo(ev.f_weighted, f_cur, d, pg, poly, armijo,
+                                      idx)
         if stall:
             stalled = True
             certificate = {"reason": "stalled", "grad_norm": norm,
@@ -306,29 +291,29 @@ def _worker_count() -> int:
     return n
 
 
-def rgpm_multistart(poly: FeasiblePolytope, grid: ObjectiveGrid, code: FhCode,
-                    cfg: RadarConfig, M_t: int, L: float, n_starts: int = 4,
-                    seed: int = 0, K_max: int = 150, T_threshold: float = 1e-2,
+def rgpm_multistart(poly: FeasiblePolytope, ev: ObjectiveEvaluator,
+                    n_starts: int = 4, seed: int = 0, K_max: int = 150,
+                    T_threshold: float = 1e-2,
                     armijo: ArmijoParams | None = None) -> tuple[RgpmResult, list]:
     """Best of several descents: equidistant, width-optimal, then random starts.
 
-    Returns (best result, all results).  Ties resolve to the earliest start;
-    runs are independent, so threading (capped by MAFH_THREADS) does not
+    M_t comes from the evaluator's code and the aperture budget L from the
+    polytope's budget row.  Returns (best result, all results).  Ties resolve
+    to the earliest start; runs are independent and share ``ev``, whose
+    tables are read-only, so threading (capped by MAFH_THREADS) does not
     affect the outcome.
     """
     if n_starts < 1:
         raise ValidationError(f"n_starts: expected at least 1, got {n_starts}")
+    M_t, L = ev.M, -float(poly.b[-1])
     starts = [AntennaLayout(d=equidistant_layout(M_t).d, L=L), mmlwd_layout(M_t, L)]
     for i in range(max(0, n_starts - 2)):
         starts.append(random_feasible_layout(M_t, L, seed + 1 + i))
     starts = starts[:n_starts]
 
-    ev = ObjectiveEvaluator(grid, code, cfg)
-
     def run(s):
-        return rgpm_optimize(s, poly, grid, code, cfg, K_max=K_max,
-                             T_threshold=T_threshold, armijo=armijo,
-                             evaluator=ev)
+        return rgpm_optimize(s, poly, ev, K_max=K_max,
+                             T_threshold=T_threshold, armijo=armijo)
 
     workers = min(_worker_count(), len(starts))
     if workers > 1:

@@ -72,10 +72,9 @@ def corner_runs(cfg, code8, poly8, equid8):
     """Multistart optimum on the full grid for each weight corner."""
     out = {}
     for alpha in CORNERS:
-        grid = build_grid(cfg, equid8, alpha)
-        best, _ = rgpm_multistart(poly8, grid, code8, cfg, 8, 7.0,
-                                  n_starts=4, seed=0)
-        out[alpha] = (grid, best)
+        ev = ObjectiveEvaluator(build_grid(cfg, equid8, alpha), code8, cfg)
+        best, _ = rgpm_multistart(poly8, ev, n_starts=4, seed=0)
+        out[alpha] = (ev, best)
     return out
 
 
@@ -209,8 +208,8 @@ def test_criterion_06_descent_is_monotone_and_certified(cfg, code8, poly8,
                                                         equid8):
     grid = build_grid(cfg, equid8, (0.0, 0.0, 1.0), theta_eval=np.pi / 3)
     start = random_feasible_layout(8, 7.0, seed=1)
-    res = rgpm_optimize(start, poly8, grid, code8, cfg, K_max=150,
-                        T_threshold=1e-2)
+    res = rgpm_optimize(start, poly8, ObjectiveEvaluator(grid, code8, cfg),
+                        K_max=150, T_threshold=1e-2)
     fs = np.array([r.f for r in res.trace])
     monotone = bool(np.all(np.diff(fs) <= 1e-12))
     # objective at iteration 60 versus at termination (a converged run holds
@@ -233,10 +232,9 @@ def test_criterion_07_optimizer_beats_baselines(cfg, code8, poly8, equid8,
     lines = []
     ok = True
     for alpha in CORNERS:
-        grid, best = corner_runs[alpha]
-        ev = ObjectiveEvaluator(grid, code8, cfg)
+        ev, best = corner_runs[alpha]
         f_eq = ev.f_weighted(equid8.d)
-        ga = ga_optimize(poly8, grid, code8, cfg, GaParams(seed=0))
+        ga = ga_optimize(poly8, ev, GaParams(seed=0))
         good = (best.f_final <= 1.05 * ga.f_final
                 and best.f_final < f_eq and ga.f_final < f_eq)
         ok = ok and good
@@ -277,13 +275,13 @@ def test_criterion_09_budget_sweep_reaches_plateau(cfg, code8):
         for L in budgets:
             poly = FeasiblePolytope.spacing_bounds(8, float(L))
             ref = AntennaLayout(d=np.full(7, 0.5), L=float(L))
-            grid = build_grid(cfg, ref, alpha, theta_eval=np.pi / 3)
+            ev = ObjectiveEvaluator(
+                build_grid(cfg, ref, alpha, theta_eval=np.pi / 3), code8, cfg)
             if prev is None:
-                best, _ = rgpm_multistart(poly, grid, code8, cfg, 8, float(L),
-                                          n_starts=2, seed=0)
+                best, _ = rgpm_multistart(poly, ev, n_starts=2, seed=0)
             else:    # warm start: the smaller-budget optimum stays feasible
                 best = rgpm_optimize(AntennaLayout(d=prev, L=float(L)), poly,
-                                     grid, code8, cfg)
+                                     ev)
             prev = best.layout.d
             full = ObjectiveEvaluator(build_grid(cfg, ref, alpha), code8, cfg)
             comp = full.f2 if name == "doppler-energy" else full.f3
@@ -333,9 +331,8 @@ def test_criterion_11_weight_sweep_correlations(cfg, code8, poly8, equid8):
         build_grid(cfg, equid8, (1 / 3, 1 / 3, 1 / 3)), code8, cfg)
     f1s, f2s, f3s = [], [], []
     for alpha in triples:
-        grid = build_grid(cfg, equid8, alpha)
-        best, _ = rgpm_multistart(poly8, grid, code8, cfg, 8, 7.0,
-                                  n_starts=4, seed=0)
+        ev = ObjectiveEvaluator(build_grid(cfg, equid8, alpha), code8, cfg)
+        best, _ = rgpm_multistart(poly8, ev, n_starts=4, seed=0)
         d = best.layout.d
         f1s.append(score.f1(d))
         f2s.append(score.f2(d))

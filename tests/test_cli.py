@@ -138,8 +138,9 @@ def test_theory_bound_with_overlay(tmp_path):
 
 
 def test_optimize_rgpm_smoke(tmp_path):
-    rc = main(["optimize", "--mt", "2", "--budget", "1.2", "--kmax", "20",
-               "--starts", "2", "--out-dir", str(tmp_path)])
+    args = ["optimize", "--mt", "2", "--budget", "1.2", "--kmax", "20",
+            "--starts", "2"]
+    rc = main(args + ["--out-dir", str(tmp_path)])
     assert rc == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     layout = json.loads((tmp_path / "layout.json").read_text())
@@ -147,6 +148,16 @@ def test_optimize_rgpm_smoke(tmp_path):
     assert summary["f"] <= summary["f_equidistant"] + 1e-9
     assert summary["certificate"]["reason"] in (
         "interior-gradient", "kkt-multipliers", "stalled", "degenerate")
+    # one entry per start; the reported run is the first start with least f
+    per_start = summary["per_start"]
+    assert [s["start"] for s in per_start] == [0, 1]
+    best = min(per_start, key=lambda s: (s["f_final"], s["start"]))
+    assert best["reason"] == summary["certificate"]["reason"]
+    assert best["iterations"] == summary["iterations"]
+    assert summary["f"] == pytest.approx(best["f_final"], rel=1e-9)
+    assert main(args + ["--out-dir", str(tmp_path / "rerun")]) == 0
+    assert ((tmp_path / "rerun" / "summary.json").read_bytes()
+            == (tmp_path / "summary.json").read_bytes())
     d = np.array(layout["d"])
     assert d.size == 1 and 0.5 <= d[0] <= 1.2 + 1e-9
 

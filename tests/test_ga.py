@@ -5,6 +5,7 @@ from mafh import (
     AntennaLayout,
     FeasiblePolytope,
     GaParams,
+    ObjectiveEvaluator,
     RadarConfig,
     ValidationError,
     build_grid,
@@ -23,7 +24,7 @@ def small():
     lay = AntennaLayout(d=np.array([0.5]), L=1.2)
     grid = build_grid(cfg, lay, (1.0, 0.0, 0.0))
     poly = FeasiblePolytope.spacing_bounds(2, 1.2)
-    return cfg, code, grid, poly
+    return ObjectiveEvaluator(grid, code, cfg), poly
 
 
 def test_params_defaults():
@@ -71,8 +72,8 @@ def test_repair_preserves_ordering_of_excess():
 
 
 def test_ga_smoke_and_feasibility(small):
-    cfg, code, grid, poly = small
-    res = ga_optimize(poly, grid, code, cfg,
+    ev, poly = small
+    res = ga_optimize(poly, ev,
                       GaParams(generations=5, population=6, seed=3))
     assert poly.contains(res.layout.d)
     assert len(res.best_trace) == 6      # initial + one per generation
@@ -80,48 +81,48 @@ def test_ga_smoke_and_feasibility(small):
 
 
 def test_ga_trace_monotone(small):
-    cfg, code, grid, poly = small
-    res = ga_optimize(poly, grid, code, cfg,
+    ev, poly = small
+    res = ga_optimize(poly, ev,
                       GaParams(generations=12, population=8, seed=1))
     trace = np.asarray(res.best_trace)
     assert np.all(np.diff(trace) <= 1e-12)   # elitism forbids regressions
 
 
 def test_ga_deterministic(small):
-    cfg, code, grid, poly = small
+    ev, poly = small
     p = GaParams(generations=4, population=6, seed=7)
-    a = ga_optimize(poly, grid, code, cfg, p)
-    b = ga_optimize(poly, grid, code, cfg, p)
+    a = ga_optimize(poly, ev, p)
+    b = ga_optimize(poly, ev, p)
     np.testing.assert_array_equal(a.layout.d, b.layout.d)
     assert a.best_trace == b.best_trace
 
-    c = ga_optimize(poly, grid, code, cfg,
+    c = ga_optimize(poly, ev,
                     GaParams(generations=4, population=6, seed=8))
     assert c.best_trace != a.best_trace  # different stream, different path
 
 
 def test_ga_tiny_run(small):
-    cfg, code, grid, poly = small
-    res = ga_optimize(poly, grid, code, cfg,
+    ev, poly = small
+    res = ga_optimize(poly, ev,
                       GaParams(generations=1, population=2, seed=0))
     assert len(res.best_trace) == 2
     assert np.isfinite(res.f_final)
 
 
 def test_ga_infeasible_budget(small):
-    cfg, code, grid, _ = small
+    ev, _ = small
     bad = FeasiblePolytope(A=np.vstack([np.eye(1), -np.ones((1, 1))]),
                            b=np.array([0.5, -0.4]))   # budget below the floor
     with pytest.raises(ValidationError, match="^L:"):
-        ga_optimize(bad, grid, code, cfg)
+        ga_optimize(bad, ev)
 
 
 def test_ga_tracks_gradient_optimizer(small):
     # On the unimodal 1-D problem the GA should land near the same spacing
     # multistart projected gradient finds, and not beat it by much.
-    cfg, code, grid, poly = small
-    ref, _ = rgpm_multistart(poly, grid, code, cfg, 2, 1.2, seed=0)
-    res = ga_optimize(poly, grid, code, cfg,
+    ev, poly = small
+    ref, _ = rgpm_multistart(poly, ev, seed=0)
+    res = ga_optimize(poly, ev,
                       GaParams(generations=30, population=10, seed=0))
     assert res.f_final >= ref.f_final - 1e-6
     assert abs(res.layout.d[0] - ref.layout.d[0]) < 0.05

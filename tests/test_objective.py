@@ -10,13 +10,8 @@ from mafh import (
     RadarConfig,
     ValidationError,
     build_grid,
-    f1_bar,
-    f2_bar,
-    f3_bar,
-    f_weighted,
     finite_diff_grad,
     generate_fh_code,
-    grad_f_weighted,
     random_feasible_layout,
 )
 from mafh.objective import ObjectiveGrid
@@ -79,7 +74,7 @@ def test_matched_diagonal_floor(cfg, code8, equid8):
     # the n1+1 matched samples alone contribute M_t^2 * cell each to f1
     g = build_grid(cfg, equid8, (1, 0, 0))
     floor = 64.0 * (g.n1 + 1) * g.d_theta ** 2
-    assert f1_bar(equid8, g, code8, cfg) >= floor
+    assert ObjectiveEvaluator(g, code8, cfg).f1(equid8.d) >= floor
 
 
 def test_single_antenna_degenerate(cfg):
@@ -88,7 +83,7 @@ def test_single_antenna_degenerate(cfg):
     code = generate_fh_code(cfg, 1, seed=0)
     g = build_grid(cfg, lay, (1, 0, 0))
     want = (np.pi * (1 + 1 / g.n1)) ** 2  # (n1+1 samples) x (pi/n1 weight), squared
-    assert_allclose(f1_bar(lay, g, code, cfg), want, rtol=1e-12)
+    assert_allclose(ObjectiveEvaluator(g, code, cfg).f1(lay.d), want, rtol=1e-12)
 
 
 def test_f2_single_element_reduction():
@@ -99,7 +94,7 @@ def test_f2_single_element_reduction():
     g = build_grid(cfg, lay, (0, 1, 0))
     want = (np.sinc(g.v_samples * cfg.delta_t) ** 2).sum() * g.d_v \
         * g.theta_f23.size * g.w_theta23
-    assert_allclose(f2_bar(lay, g, code, cfg), want, rtol=1e-12)
+    assert_allclose(ObjectiveEvaluator(g, code, cfg).f2(lay.d), want, rtol=1e-12)
 
 
 def test_f3_single_element_reduction():
@@ -109,63 +104,62 @@ def test_f3_single_element_reduction():
     g = build_grid(cfg, lay, (0, 0, 1))
     tri = np.clip(1.0 - np.abs(g.tau_samples) / cfg.delta_t, 0.0, None)
     want = (tri ** 2).sum() * g.d_tau * g.theta_f23.size * g.w_theta23
-    assert_allclose(f3_bar(lay, g, code, cfg), want, rtol=1e-12)
+    assert_allclose(ObjectiveEvaluator(g, code, cfg).f3(lay.d), want, rtol=1e-12)
 
 
 def test_weight_collapse(cfg, code8, equid8):
-    g1 = build_grid(cfg, equid8, (1, 0, 0))
-    assert_allclose(f_weighted(equid8, g1, code8, cfg),
-                    f1_bar(equid8, g1, code8, cfg), rtol=1e-12)
-    g3 = build_grid(cfg, equid8, (0, 0, 1))
-    assert_allclose(f_weighted(equid8, g3, code8, cfg),
-                    f3_bar(equid8, g3, code8, cfg), rtol=1e-12)
+    ev1 = ObjectiveEvaluator(build_grid(cfg, equid8, (1, 0, 0)), code8, cfg)
+    assert_allclose(ev1.f_weighted(equid8.d), ev1.f1(equid8.d), rtol=1e-12)
+    ev3 = ObjectiveEvaluator(build_grid(cfg, equid8, (0, 0, 1)), code8, cfg)
+    assert_allclose(ev3.f_weighted(equid8.d), ev3.f3(equid8.d), rtol=1e-12)
 
 
 def test_weighted_convex_combination(cfg, code8, equid8):
-    g = build_grid(cfg, equid8, (1 / 3, 1 / 3, 1 / 3))
-    parts = [f1_bar(equid8, g, code8, cfg), f2_bar(equid8, g, code8, cfg),
-             f3_bar(equid8, g, code8, cfg)]
-    f = f_weighted(equid8, g, code8, cfg)
+    ev = ObjectiveEvaluator(build_grid(cfg, equid8, (1 / 3, 1 / 3, 1 / 3)),
+                            code8, cfg)
+    parts = [ev.f1(equid8.d), ev.f2(equid8.d), ev.f3(equid8.d)]
+    f = ev.f_weighted(equid8.d)
     assert min(parts) <= f <= max(parts)
 
 
 @pytest.mark.parametrize("alpha", ALPHA_CORNERS)
 def test_gradient_matches_finite_differences(cfg, code8, alpha):
     lay = random_feasible_layout(8, 7.0, seed=5)
-    g = build_grid(cfg, lay, alpha)
-    ga = grad_f_weighted(lay, g, code8, cfg)
-    gn = finite_diff_grad(lay, g, code8, cfg, h=1e-6)
+    ev = ObjectiveEvaluator(build_grid(cfg, lay, alpha), code8, cfg)
+    ga = ev.grad_f_weighted(lay.d)
+    gn = finite_diff_grad(ev, lay.d, h=1e-6)
     assert_allclose(ga, gn, rtol=1e-4, atol=1e-8)
 
 
 def test_gradient_matches_fd_theta_eval_mode(cfg, code8):
     lay = random_feasible_layout(8, 7.0, seed=6)
     g = build_grid(cfg, lay, (0.2, 0.3, 0.5), theta_eval=np.pi / 3)
-    assert_allclose(grad_f_weighted(lay, g, code8, cfg),
-                    finite_diff_grad(lay, g, code8, cfg, h=1e-6),
+    ev = ObjectiveEvaluator(g, code8, cfg)
+    assert_allclose(ev.grad_f_weighted(lay.d),
+                    finite_diff_grad(ev, lay.d, h=1e-6),
                     rtol=1e-4, atol=1e-8)
 
 
 def test_finite_differences_second_order(cfg, code8):
     """Halving h cuts the central-difference error roughly fourfold."""
     lay = random_feasible_layout(8, 7.0, seed=7)
-    g = build_grid(cfg, lay, (1, 0, 0))
-    exact = grad_f_weighted(lay, g, code8, cfg)
-    err = [np.max(np.abs(finite_diff_grad(lay, g, code8, cfg, h=h) - exact))
+    ev = ObjectiveEvaluator(build_grid(cfg, lay, (1, 0, 0)), code8, cfg)
+    exact = ev.grad_f_weighted(lay.d)
+    err = [np.max(np.abs(finite_diff_grad(ev, lay.d, h=h) - exact))
            for h in (4e-3, 2e-3)]
     assert err[1] < err[0] / 2.5
 
 
 def test_finite_diff_rejects_bad_step(cfg, code8, equid8):
-    g = build_grid(cfg, equid8, (1, 0, 0))
+    ev = ObjectiveEvaluator(build_grid(cfg, equid8, (1, 0, 0)), code8, cfg)
     with pytest.raises(ValidationError, match="^h:"):
-        finite_diff_grad(equid8, g, code8, cfg, h=0.0)
+        finite_diff_grad(ev, equid8.d, h=0.0)
 
 
 def test_gradient_length_excludes_anchor(cfg, code8, equid8):
     # d_{t,0} = 0 is a convention, not a variable: M_t - 1 components only
-    g = build_grid(cfg, equid8, (1, 0, 0))
-    assert grad_f_weighted(equid8, g, code8, cfg).shape == (7,)
+    ev = ObjectiveEvaluator(build_grid(cfg, equid8, (1, 0, 0)), code8, cfg)
+    assert ev.grad_f_weighted(equid8.d).shape == (7,)
 
 
 def test_evaluator_deterministic(cfg, code8, equid8):

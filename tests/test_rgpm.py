@@ -8,10 +8,8 @@ from mafh import (
     FeasiblePolytope,
     ObjectiveEvaluator,
     RadarConfig,
-    StallError,
     ValidationError,
     active_set,
-    armijo_step,
     build_grid,
     generate_fh_code,
     mmlwd_layout,
@@ -20,7 +18,7 @@ from mafh import (
     rgpm_multistart,
     rgpm_optimize,
 )
-from mafh.rgpm import write_trace_csv
+from mafh.rgpm import _armijo, write_trace_csv
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +29,7 @@ def small():
     lay = AntennaLayout(d=np.array([0.5]), L=1.2)
     grid = build_grid(cfg, lay, (1.0, 0.0, 0.0))
     poly = FeasiblePolytope.spacing_bounds(2, 1.2)
-    return cfg, code, grid, poly
+    return ObjectiveEvaluator(grid, code, cfg), poly
 
 
 def test_polytope_structure():
@@ -99,36 +97,42 @@ def test_armijo_params_validation():
         ArmijoParams(omega_min=2.0, omega0=1.0)
 
 
+def _line_search(ev, d, descent_dir, poly):
+    """Armijo search for f_weighted along ``-descent_dir`` from ``d``, no working set."""
+    return _armijo(ev.f_weighted, ev.f_weighted(d), d, descent_dir, poly,
+                   ArmijoParams(), [])
+
+
 def test_armijo_step_respects_feasibility_cap(small):
-    cfg, code, grid, poly = small
+    ev, poly = small
     # pushing the single spacing toward the budget: at most 0.05 of headroom
-    d = AntennaLayout(d=np.array([1.15]), L=1.2)
-    omega = armijo_step(d, np.array([-1.0]), poly, grid, code, cfg)
+    d = np.array([1.15])
+    omega, _, stalled = _line_search(ev, d, np.array([-1.0]), poly)
+    assert not stalled
     assert 0.0 < omega <= 0.05 + 1e-12
-    assert poly.contains(d.d + omega * np.array([1.0]))
+    assert poly.contains(d + omega * np.array([1.0]))
 
 
 def test_armijo_step_zero_direction_rejected(small):
-    cfg, code, grid, poly = small
-    d = AntennaLayout(d=np.array([0.8]), L=1.2)
+    ev, poly = small
     with pytest.raises(ValidationError, match="direction"):
-        armijo_step(d, np.zeros(1), poly, grid, code, cfg)
+        _line_search(ev, np.array([0.8]), np.zeros(1), poly)
 
 
 def test_armijo_step_stalls_uphill(small):
-    cfg, code, grid, poly = small
-    ev = ObjectiveEvaluator(grid, code, cfg)
-    d = AntennaLayout(d=np.array([0.8]), L=1.2)
-    uphill = -ev.grad_f_weighted(d.d)   # a step along +gradient cannot descend
+    ev, poly = small
+    d = np.array([0.8])
+    uphill = -ev.grad_f_weighted(d)   # a step along +gradient cannot descend
     if np.linalg.norm(uphill) > 0:
-        with pytest.raises(StallError):
-            armijo_step(d, uphill, poly, grid, code, cfg)
+        omega, f_new, stalled = _line_search(ev, d, uphill, poly)
+        assert stalled and omega is None
+        assert f_new == ev.f_weighted(d)
 
 
 def test_rgpm_monotone_and_feasible(small):
-    cfg, code, grid, poly = small
-    res = rgpm_optimize(AntennaLayout(d=np.array([1.0]), L=1.2), poly, grid,
-                        code, cfg, K_max=50)
+    ev, poly = small
+    res = rgpm_optimize(AntennaLayout(d=np.array([1.0]), L=1.2), poly, ev,
+                        K_max=50)
     fs = [r.f for r in res.trace]
     assert all(b <= a + 1e-12 for a, b in zip(fs, fs[1:]))
     assert poly.contains(res.layout.d)
@@ -138,35 +142,33 @@ def test_rgpm_monotone_and_feasible(small):
 
 def test_rgpm_matches_exhaustive_search(small):
     """Multistart lands on the global optimum of the 1-D landscape."""
-    cfg, code, grid, poly = small
-    ev = ObjectiveEvaluator(grid, code, cfg)
+    ev, poly = small
     ds = np.arange(0.5, 1.2 + 1e-12, 1e-3)
     vals = [ev.f_weighted(np.array([x])) for x in ds]
     d_star = ds[int(np.argmin(vals))]
-    best, _ = rgpm_multistart(poly, grid, code, cfg, 2, 1.2, seed=0)
+    best, _ = rgpm_multistart(poly, ev, seed=0)
     assert abs(best.layout.d[0] - d_star) <= 1e-2
     assert best.f_final <= min(vals) + 1e-9
 
 
 def test_rgpm_deterministic(small):
-    cfg, code, grid, poly = small
+    ev, poly = small
     d0 = AntennaLayout(d=np.array([0.95]), L=1.2)
-    r1 = rgpm_optimize(d0, poly, grid, code, cfg)
-    r2 = rgpm_optimize(d0, poly, grid, code, cfg)
+    r1 = rgpm_optimize(d0, poly, ev)
+    r2 = rgpm_optimize(d0, poly, ev)
     assert_array_equal(r1.layout.d, r2.layout.d)
     assert [a.f for a in r1.trace] == [a.f for a in r2.trace]
 
 
 def test_rgpm_argument_validation(small):
-    cfg, code, grid, poly = small
+    ev, poly = small
     d0 = AntennaLayout(d=np.array([0.8]), L=1.2)
     with pytest.raises(ValidationError, match="^K_max:"):
-        rgpm_optimize(d0, poly, grid, code, cfg, K_max=0)
+        rgpm_optimize(d0, poly, ev, K_max=0)
     with pytest.raises(ValidationError, match="^T_threshold:"):
-        rgpm_optimize(d0, poly, grid, code, cfg, T_threshold=0.0)
+        rgpm_optimize(d0, poly, ev, T_threshold=0.0)
     with pytest.raises(ValidationError, match="^d0:"):
-        rgpm_optimize(AntennaLayout(d=np.array([1.25]), L=1.3), poly, grid,
-                      code, cfg)
+        rgpm_optimize(AntennaLayout(d=np.array([1.25]), L=1.3), poly, ev)
 
 
 def test_rgpm_degenerate_polytope(cfg):
@@ -175,21 +177,21 @@ def test_rgpm_degenerate_polytope(cfg):
     lay = AntennaLayout(d=np.full(3, 0.5), L=1.5)
     grid = build_grid(cfg, lay, (1, 0, 0))
     poly = FeasiblePolytope.spacing_bounds(4, 1.5)
-    res = rgpm_optimize(lay, poly, grid, code, cfg)
+    res = rgpm_optimize(lay, poly, ObjectiveEvaluator(grid, code, cfg))
     assert res.converged and res.certificate["reason"] == "degenerate"
     assert_allclose(res.layout.d, [0.5, 0.5, 0.5])
 
 
 def test_rgpm_iteration_cap(small):
-    cfg, code, grid, poly = small
-    res = rgpm_optimize(AntennaLayout(d=np.array([1.0]), L=1.2), poly, grid,
-                        code, cfg, K_max=1, T_threshold=1e-12)
+    ev, poly = small
+    res = rgpm_optimize(AntennaLayout(d=np.array([1.0]), L=1.2), poly, ev,
+                        K_max=1, T_threshold=1e-12)
     assert not res.converged
     assert res.certificate["reason"] == "max-iterations"
     assert res.trace[-1].k <= 1
 
 
-def test_rgpm_stall_returns_best_so_far(cfg, code8, poly8, equid8):
+def test_rgpm_stall_returns_best_so_far(poly8):
     class NoDecrease:
         """Objective that admits no sufficient-decrease step anywhere."""
 
@@ -199,49 +201,59 @@ def test_rgpm_stall_returns_best_so_far(cfg, code8, poly8, equid8):
         def grad_f_weighted(self, d):
             return np.ones_like(d)
 
-    grid = build_grid(cfg, equid8, (1, 0, 0))
     d0 = AntennaLayout(d=np.full(7, 0.9), L=7.0)
-    res = rgpm_optimize(d0, poly8, grid, code8, cfg, evaluator=NoDecrease())
+    res = rgpm_optimize(d0, poly8, NoDecrease())
     assert res.stalled and not res.converged
     assert res.certificate["reason"] == "stalled"
     assert_allclose(res.layout.d, d0.d)
     assert res.f_final == 1.0
 
 
+def test_rgpm_roundoff_does_not_stall(cfg, code8, poly8, equid8):
+    """Working-set rows never cap the step: roundoff in A_i . Pg is not blocking.
+
+    This start of the default (1, 0, 0) multistart used to report a stall
+    before the first line-search trial, at ||Pg|| = 8.65.
+    """
+    ev = ObjectiveEvaluator(build_grid(cfg, equid8, (1, 0, 0)), code8, cfg)
+    res = rgpm_optimize(random_feasible_layout(8, 7.0, seed=2), poly8, ev)
+    assert not res.stalled and res.converged
+    assert res.certificate["reason"] == "kkt-multipliers"
+
+
 def test_multistart_start_count_and_best(small):
-    cfg, code, grid, poly = small
-    best, results = rgpm_multistart(poly, grid, code, cfg, 2, 1.2, n_starts=4,
-                                    seed=0)
+    ev, poly = small
+    best, results = rgpm_multistart(poly, ev, n_starts=4, seed=0)
     assert len(results) == 4
     assert best.f_final == min(r.f_final for r in results)
     # first two starts are the deterministic layouts
     assert results[0].trace[0].f == pytest.approx(
-        ObjectiveEvaluator(grid, code, cfg).f_weighted(np.array([0.5])))
+        ev.f_weighted(np.array([0.5])))
     with pytest.raises(ValidationError, match="^n_starts:"):
-        rgpm_multistart(poly, grid, code, cfg, 2, 1.2, n_starts=0)
+        rgpm_multistart(poly, ev, n_starts=0)
 
 
 def test_multistart_thread_count_invariance(small, monkeypatch):
-    cfg, code, grid, poly = small
+    ev, poly = small
     monkeypatch.setenv("MAFH_THREADS", "1")
-    b1, _ = rgpm_multistart(poly, grid, code, cfg, 2, 1.2, seed=3)
+    b1, _ = rgpm_multistart(poly, ev, seed=3)
     monkeypatch.setenv("MAFH_THREADS", "4")
-    b4, _ = rgpm_multistart(poly, grid, code, cfg, 2, 1.2, seed=3)
+    b4, _ = rgpm_multistart(poly, ev, seed=3)
     assert_array_equal(b1.layout.d, b4.layout.d)
     assert b1.f_final == b4.f_final
 
 
 def test_multistart_rejects_bad_thread_env(small, monkeypatch):
-    cfg, code, grid, poly = small
+    ev, poly = small
     monkeypatch.setenv("MAFH_THREADS", "plenty")
     with pytest.raises(ValidationError, match="MAFH_THREADS"):
-        rgpm_multistart(poly, grid, code, cfg, 2, 1.2)
+        rgpm_multistart(poly, ev)
 
 
 def test_write_trace_csv(tmp_path, small):
-    cfg, code, grid, poly = small
-    res = rgpm_optimize(AntennaLayout(d=np.array([1.0]), L=1.2), poly, grid,
-                        code, cfg, K_max=20)
+    ev, poly = small
+    res = rgpm_optimize(AntennaLayout(d=np.array([1.0]), L=1.2), poly, ev,
+                        K_max=20)
     path = tmp_path / "trace.csv"
     write_trace_csv(res, path, {"M_t": 2}, seed=0)
     lines = path.read_text().splitlines()
