@@ -325,6 +325,7 @@ def matched_cut(axis: str, coords, layout: AntennaLayout, code: FhCode,
     doppler: |chi(0, v, theta, theta)|; delay: |chi(tau, 0, theta, theta)|.
     The coordinates are used as given.
     """
+    _check_pair(layout, code)
     coords = np.asarray(coords, dtype=float)
     if axis == "doppler":
         G = kernel_matrix(0.0, coords, code, cfg)

@@ -19,13 +19,14 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from .ambiguity import af_slice, matched_cut, write_slice_csv, write_slice_json
+from .ambiguity import (_check_pair, af_slice, matched_cut, write_slice_csv,
+                        write_slice_json)
 from .ga import GaParams, ga_optimize
 from .metrics import detection_probability, write_detection_csv
-from .model import (AntennaLayout, ValidationError, config_to_dict,
+from .model import (AntennaLayout, FhCode, ValidationError, config_to_dict,
                     generate_fh_code, load_fh_code, parse_config,
                     random_feasible_layout, validate_detection)
-from .objective import ObjectiveEvaluator, build_grid
+from .objective import ObjectiveEvaluator, _check_alpha, build_grid
 from .output import write_csv, write_json
 from .rgpm import FeasiblePolytope, rgpm_multistart, write_trace_csv
 from .theory import (b_min, delay_lower_bound, doppler_lower_bound,
@@ -103,13 +104,12 @@ def _resolve_layout(name, M_t: int, L: float, cfg_layout, seed: int) -> AntennaL
 
 
 def _code_for(args, cfg, M_t: int):
+    """The --code file's first M_t rows, or the seed's generated code."""
     if getattr(args, "code", None):
         code = load_fh_code(args.code, cfg)
         if code.M_t < M_t:
-            raise ValidationError(
-                f"code file has {code.M_t} rows, need at least {M_t}"
-            )
-        return code
+            raise ValidationError(f"code file has {code.M_t} rows, need at least {M_t}")
+        return FhCode(c=code.c[:M_t])
     return generate_fh_code(cfg, M_t, args.seed)
 
 
@@ -117,7 +117,7 @@ def _parse_alpha(text: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise ValidationError(f"--alpha expects a1,a2,a3, got {text!r}")
-    return tuple(float(p) for p in parts)
+    return _check_alpha(parts)
 
 
 def _out_dir(args) -> Path:
@@ -154,27 +154,21 @@ _SWEEP_DEFAULTS = {
 
 
 def _sweep_rows(kind: str, M_t: int, L: float, theta: float, lo, hi, points):
-    rows = []
-    skipped = 0
     if kind == "L":
         lo = 0.5 * (M_t - 1) if lo is None else float(lo)
-        for val in np.linspace(lo, float(hi), int(points)):
-            try:
-                rows.append((val, b_min(M_t, float(val), theta)))
-            except ValidationError:
-                skipped += 1
+        geometry = [(val, (M_t, float(val), theta))
+                    for val in np.linspace(lo, float(hi), int(points))]
     elif kind == "Mt":
-        for m in range(int(lo), int(hi) + 1):
-            try:
-                rows.append((m, b_min(m, L, theta)))
-            except ValidationError:
-                skipped += 1
+        geometry = [(m, (m, L, theta)) for m in range(int(lo), int(hi) + 1)]
     else:
-        for th in np.linspace(float(lo), float(hi), int(points)):
-            try:
-                rows.append((th, b_min(M_t, L, float(th))))
-            except ValidationError:
-                skipped += 1
+        geometry = [(th, (M_t, L, float(th)))
+                    for th in np.linspace(float(lo), float(hi), int(points))]
+    rows, skipped = [], 0
+    for val, shape in geometry:
+        try:
+            rows.append((val, b_min(*shape)))
+        except ValidationError:
+            skipped += 1
     if not rows:
         raise ValidationError(f"--sweep {kind}: no feasible points in the range")
     return rows, skipped
@@ -228,17 +222,14 @@ def cmd_theory(args) -> int:
     return 0
 
 
-def _objective_record(ev: ObjectiveEvaluator, layout: AntennaLayout) -> dict:
+def _objective_record(ev: ObjectiveEvaluator, alpha, layout: AntennaLayout) -> dict:
     g = ev.grid
-    f1 = ev.f1(layout.d)
-    f2 = ev.f2(layout.d)
-    f3 = ev.f3(layout.d)
-    a1, a2, a3 = g.alpha
+    f1, f2, f3 = ev.f1(layout.d), ev.f2(layout.d), ev.f3(layout.d)
     return {
-        "alpha": list(g.alpha),
+        "alpha": list(alpha),
         "layout": [float(v) for v in layout.d],
         "f1": f1, "f2": f2, "f3": f3,
-        "f": a1 * f1 + a2 * f2 + a3 * f3,
+        "f": alpha[0] * f1 + alpha[1] * f2 + alpha[2] * f3,
         "grid": {"n1": g.n1, "n2": g.n2, "n3": g.n3},
     }
 
@@ -249,13 +240,13 @@ def cmd_optimize(args) -> int:
     alpha = _parse_alpha(args.alpha)
     code = _code_for(args, cfg, M_t)
     ref = _equidistant_budget(M_t, L)
-    grid = build_grid(cfg, ref, alpha, theta_eval=args.theta_eval)
+    grid = build_grid(cfg, ref, theta_eval=args.theta_eval)
     poly = FeasiblePolytope.spacing_bounds(M_t, L)
     out = _out_dir(args)
     ev = ObjectiveEvaluator(grid, code, cfg)
 
     if args.method == "rgpm":
-        best, runs = rgpm_multistart(poly, ev, n_starts=args.starts,
+        best, runs = rgpm_multistart(poly, ev, alpha, n_starts=args.starts,
                                      seed=args.seed, K_max=args.kmax,
                                      T_threshold=args.threshold)
         final = best.layout
@@ -273,7 +264,7 @@ def cmd_optimize(args) -> int:
     else:
         params = GaParams(generations=args.generations,
                           population=args.population, seed=args.seed)
-        res = ga_optimize(poly, ev, params)
+        res = ga_optimize(poly, ev, alpha, params)
         final = res.layout
         doc = config_to_dict(cfg, final, det)
         write_csv(out / "trace.csv", {
@@ -283,11 +274,11 @@ def cmd_optimize(args) -> int:
         run_info = {"method": "ga", "generations": args.generations,
                     "population": args.population}
 
-    record = _objective_record(ev, final)
+    record = _objective_record(ev, alpha, final)
     summary = dict(record)
     summary.update(run_info)
-    summary["f_equidistant"] = ev.f_weighted(ref.d)
-    summary["f_mmlwd"] = ev.f_weighted(mmlwd_layout(M_t, L).d)
+    summary["f_equidistant"] = ev.f_weighted(ref.d, alpha)
+    summary["f_mmlwd"] = ev.f_weighted(mmlwd_layout(M_t, L).d, alpha)
     write_json(out / "layout.json", {"d": record["layout"], "L": L,
                                      "M_t": M_t, "objective": record},
                doc, seed=args.seed)
@@ -312,22 +303,20 @@ def cmd_tradeoff(args) -> int:
     poly = FeasiblePolytope.spacing_bounds(M_t, L)
     ref = _equidistant_budget(M_t, L)
     out = _out_dir(args)
+    ev = ObjectiveEvaluator(build_grid(cfg, ref, theta_eval=args.theta_eval), code, cfg)
 
     rows = []
     for alpha in _simplex_weights(args.resolution):
-        grid = build_grid(cfg, ref, alpha, theta_eval=args.theta_eval)
-        ev = ObjectiveEvaluator(grid, code, cfg)
         if args.method == "rgpm":
-            best, _ = rgpm_multistart(poly, ev, n_starts=args.starts,
+            best, _ = rgpm_multistart(poly, ev, alpha, n_starts=args.starts,
                                       seed=args.seed, K_max=args.kmax,
                                       T_threshold=args.threshold)
             layout = best.layout
         else:
             params = GaParams(generations=args.generations,
                               population=args.population, seed=args.seed)
-            layout = ga_optimize(poly, ev, params).layout
-        rows.append((alpha, _objective_record(ev, layout)))
-        del ev   # two live table sets would raise the sweep's peak memory
+            layout = ga_optimize(poly, ev, alpha, params).layout
+        rows.append((alpha, _objective_record(ev, alpha, layout)))
 
     f1s = np.array([r["f1"] for _, r in rows])
     f2s = np.array([r["f2"] for _, r in rows])
@@ -378,26 +367,29 @@ def cmd_detect(args) -> int:
         det = replace(det, snr_grid=_parse_snr(args.snr))
     validate_detection(det)
     code = _code_for(args, cfg, M_t)
-    out = _out_dir(args)
 
     names = [n.strip() for n in args.layouts.split(",") if n.strip()]
     if not names:
         raise ValidationError("--layouts: expected a comma-separated list")
+    # resolve and pair-check every layout before any detection or write
+    layouts = {name: _resolve_layout(name, M_t, L, cfg_layout, args.seed)
+               for name in names if name != "optimized"}
+    for layout in layouts.values():
+        _check_pair(layout, code)
+    if "optimized" in names:
+        alpha = _parse_alpha(args.alpha)
+        grid = build_grid(cfg, _equidistant_budget(M_t, L), theta_eval=args.theta_eval)
+        poly = FeasiblePolytope.spacing_bounds(M_t, L)
+        best, _ = rgpm_multistart(poly, ObjectiveEvaluator(grid, code, cfg),
+                                  alpha, n_starts=args.starts, seed=args.seed)
+        layouts["optimized"] = best.layout
+
+    out = _out_dir(args)
     curves = {}
     for name in names:
-        if name == "optimized":
-            alpha = _parse_alpha(args.alpha)
-            ref = _equidistant_budget(M_t, L)
-            grid = build_grid(cfg, ref, alpha, theta_eval=args.theta_eval)
-            poly = FeasiblePolytope.spacing_bounds(M_t, L)
-            best, _ = rgpm_multistart(poly, ObjectiveEvaluator(grid, code, cfg),
-                                      n_starts=args.starts, seed=args.seed)
-            layout = best.layout
-        else:
-            layout = _resolve_layout(name, M_t, L, cfg_layout, args.seed)
         label = _layout_label(name)
-        curve = detection_probability(layout, code, cfg, det, seed=args.seed)
-        doc = config_to_dict(cfg, layout, det)
+        curve = detection_probability(layouts[name], code, cfg, det, seed=args.seed)
+        doc = config_to_dict(cfg, layouts[name], det)
         write_detection_csv(curve, out / f"detect_{label}.csv", doc,
                             seed=args.seed)
         curves[label] = curve

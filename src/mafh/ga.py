@@ -5,7 +5,7 @@ crossover (per-gene uniform mix), additive Gaussian mutation, elitism of one,
 and a repair step that first clamps genes to the half-wavelength floor and
 then scales the excess above the floor down until the aperture budget holds.
 Everything is driven by one seeded generator, so results are deterministic
-in (params, evaluator).
+in (params, evaluator, weights).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AntennaLayout, ValidationError
-from .objective import ObjectiveEvaluator
+from .objective import ObjectiveEvaluator, _check_alpha
 from .rgpm import FeasiblePolytope
 
 
@@ -69,9 +69,10 @@ def _random_population(rng, n_genes: int, L: float, size: int) -> np.ndarray:
     return pop
 
 
-def ga_optimize(poly: FeasiblePolytope, ev: ObjectiveEvaluator,
+def ga_optimize(poly: FeasiblePolytope, ev: ObjectiveEvaluator, alpha,
                 params: GaParams | None = None) -> GaResult:
-    """Minimize ``ev.f_weighted`` with the baseline GA.  Deterministic in the seed."""
+    """Minimize ``ev.f_weighted`` at weights ``alpha``; deterministic in the seed."""
+    alpha = _check_alpha(alpha)
     params = params or GaParams()
     n = poly.A.shape[1]
     L = -float(poly.b[-1])
@@ -81,7 +82,7 @@ def ga_optimize(poly: FeasiblePolytope, ev: ObjectiveEvaluator,
     rng = np.random.default_rng(params.seed)
 
     pop = _random_population(rng, n, L, params.population)
-    fit = np.array([ev.f_weighted(ind) for ind in pop])
+    fit = np.array([ev.f_weighted(ind, alpha) for ind in pop])
     trace = [float(fit.min())]
 
     for _ in range(params.generations):
@@ -105,7 +106,7 @@ def ga_optimize(poly: FeasiblePolytope, ev: ObjectiveEvaluator,
                 child = child + mutate * rng.normal(0.0, params.sigma_mut, size=n)
             children.append(_repair(child, L))
         pop = np.asarray(children)
-        fit = np.array([ev.f_weighted(ind) for ind in pop])
+        fit = np.array([ev.f_weighted(ind, alpha) for ind in pop])
         fit[0] = elite_fit  # elite re-enters unchanged
         trace.append(float(fit.min()))
 

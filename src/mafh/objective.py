@@ -7,7 +7,8 @@ Three mismatch energies are minimized over the spacing vector d:
     f3: |chi(tau, 0, theta, theta)|^2 over theta and tau in [-T_w, T_w];
 
 each as a closed Riemann sum (both endpoints sampled, n+1 points per axis)
-with the weighted combination f = alpha1*f1 + alpha2*f2 + alpha3*f3.
+with the weighted combination f = alpha1*f1 + alpha2*f2 + alpha3*f3; alpha
+is an argument of each weighted evaluation and no part of the grid.
 
 The Doppler and delay axes enter the cell weights in subpulse units
 (v*delta_t and tau/delta_t) so that all three objectives are commensurate
@@ -43,9 +44,21 @@ def _ceil(x: float) -> int:
     return int(math.ceil(x - 1e-9))
 
 
+def _check_alpha(alpha) -> tuple:
+    """The weights as three floats, checked in plain Python: it runs per evaluation."""
+    try:
+        a = tuple(map(float, alpha))
+    except (TypeError, ValueError):
+        a = ()
+    if len(a) != 3 or not (min(a) >= 0.0 and abs(sum(a) - 1.0) <= 1e-9):
+        raise ValidationError("alpha: expected 3 nonnegative weights summing "
+                              f"to 1, got {alpha!r}")   # NaN fails the sum test
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class ObjectiveGrid:
-    """Sampling grids, cell weights and objective weights, fixed per run."""
+    """Sampling grids and cell weights, fixed per run; no objective weights."""
 
     n1: int                    # angular subdivisions (n1 + 1 samples)
     n2: int                    # Doppler subdivisions
@@ -56,20 +69,17 @@ class ObjectiveGrid:
     d_theta: float             # rad per cell
     d_v: float                 # Doppler cell weight, subpulse units (Hz * delta_t)
     d_tau: float               # delay cell weight, subpulse units (s / delta_t)
-    alpha: np.ndarray          # objective weights, sum to 1
-    theta_eval: float | None   # single-angle mode for f2/f3 (None = full sweep)
     theta_f23: np.ndarray      # angular samples used by f2/f3
     w_theta23: float           # angular weight per f2/f3 sample
 
     def __post_init__(self):
-        for name in ("theta_samples", "v_samples", "tau_samples", "alpha",
-                     "theta_f23"):
+        for name in ("theta_samples", "v_samples", "tau_samples", "theta_f23"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
 
-def build_grid(cfg: RadarConfig, layout: AntennaLayout, alpha,
+def build_grid(cfg: RadarConfig, layout: AntennaLayout, _unused=None,
                theta_eval: float | None = None) -> ObjectiveGrid:
     """Smallest grids satisfying the sampling inequalities.
 
@@ -80,14 +90,8 @@ def build_grid(cfg: RadarConfig, layout: AntennaLayout, alpha,
 
     ``theta_eval`` switches f2/f3 to a single-angle cut (weight pi, the full
     angular range): much cheaper, same minimizers in practice.
+    A third positional argument, where the weights once went, is ignored.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (3,):
-        raise ValidationError(f"alpha: expected 3 weights, got shape {alpha.shape}")
-    if np.any(alpha < 0) or abs(alpha.sum() - 1.0) > 1e-9:
-        raise ValidationError(
-            f"alpha: expected nonnegative weights summing to 1, got {alpha.tolist()}"
-        )
     if theta_eval is not None and abs(theta_eval) > _HALF_PI + 1e-12:
         raise ValidationError(f"theta_eval: expected |angle| <= pi/2, got {theta_eval}")
 
@@ -116,7 +120,7 @@ def build_grid(cfg: RadarConfig, layout: AntennaLayout, alpha,
         d_theta=np.pi / n1,
         d_v=2.0 * cfg.f_max / n2 * cfg.delta_t,
         d_tau=2.0 * cfg.T_w / n3 / cfg.delta_t,
-        alpha=alpha, theta_eval=theta_eval, theta_f23=theta_f23, w_theta23=w23,
+        theta_f23=theta_f23, w_theta23=w23,
     )
 
 
@@ -127,9 +131,9 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 class ObjectiveEvaluator:
     """Grid-bound objective/gradient engine operating on raw spacing vectors.
 
-    The three kernel tables depend only on (grid, code, cfg).  They are built
-    here, once, and are read-only afterwards, so one evaluator serves every
-    descent of a command, concurrent ones included.  ``d`` is not required to
+    The kernel tables depend on (grid, code, cfg) only, not on the weights.
+    They are built here, once, read-only, and serve every descent and weight
+    triple of a command, concurrent ones included.  ``d`` is not required to
     be feasible — the ambiguity surface is defined for any positive spacings
     — which the finite-difference probes rely on.
     """
@@ -218,24 +222,24 @@ class ObjectiveEvaluator:
         """Delay mismatch energy of the spacings ``d``."""
         return self._energy(2, self._positions(d))[0]
 
-    def f_weighted(self, d) -> float:
+    def f_weighted(self, d, alpha) -> float:
         """alpha-weighted combination; zero-weight terms are skipped entirely."""
         x = self._positions(d)
         return sum((a * self._energy(k, x)[0]
-                    for k, a in enumerate(self.grid.alpha) if a > 0.0), 0.0)
+                    for k, a in enumerate(_check_alpha(alpha)) if a > 0.0), 0.0)
 
-    def grad_f_weighted(self, d) -> np.ndarray:
+    def grad_f_weighted(self, d, alpha) -> np.ndarray:
         """Analytic gradient of f_weighted w.r.t. the M_t - 1 spacings."""
         x = self._positions(d)
         gx = np.zeros(self.M)
-        for k, a in enumerate(self.grid.alpha):
+        for k, a in enumerate(_check_alpha(alpha)):
             if a > 0.0:
                 gx += a * self._energy(k, x, grad=True)[1]
         # x_m = d_1 + ... + d_m, so df/dd_i = sum_{m >= i} df/dx_m
         return np.cumsum(gx[::-1])[::-1][1:]
 
 
-def finite_diff_grad(ev: ObjectiveEvaluator, d, h: float = 1e-6) -> np.ndarray:
+def finite_diff_grad(ev: ObjectiveEvaluator, alpha, d, h: float = 1e-6) -> np.ndarray:
     """Central-difference oracle for ``ev.grad_f_weighted``, step ``h`` in wavelengths.
 
     Probes d +/- h*e_i directly on the spacing vector (the objective is
@@ -249,5 +253,5 @@ def finite_diff_grad(ev: ObjectiveEvaluator, d, h: float = 1e-6) -> np.ndarray:
         dp, dm = d.copy(), d.copy()
         dp[i] += h
         dm[i] -= h
-        g[i] = (ev.f_weighted(dp) - ev.f_weighted(dm)) / (2.0 * h)
+        g[i] = (ev.f_weighted(dp, alpha) - ev.f_weighted(dm, alpha)) / (2.0 * h)
     return g

@@ -19,7 +19,7 @@ import numpy as np
 
 from .model import AntennaLayout, ValidationError
 from .model import equidistant_layout, random_feasible_layout
-from .objective import ObjectiveEvaluator
+from .objective import ObjectiveEvaluator, _check_alpha
 from .output import write_csv
 from .theory import mmlwd_layout
 
@@ -191,10 +191,10 @@ class RgpmResult:
 
 
 def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
-                  ev: ObjectiveEvaluator, K_max: int = 150,
+                  ev: ObjectiveEvaluator, alpha, K_max: int = 150,
                   T_threshold: float = 1e-2,
                   armijo: ArmijoParams | None = None) -> RgpmResult:
-    """Projected-gradient descent of ``ev.f_weighted`` from ``d0``.
+    """Projected-gradient descent of ``ev.f_weighted(., alpha)`` from ``d0``.
 
     Terminates when the projected gradient norm falls below ``T_threshold``
     and all active-constraint multipliers are nonnegative (KKT certificate),
@@ -205,13 +205,14 @@ def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
         raise ValidationError(f"K_max: expected at least 1, got {K_max}")
     if not T_threshold > 0:
         raise ValidationError(f"T_threshold: expected > 0, got {T_threshold}")
+    alpha = _check_alpha(alpha)
     armijo = armijo or ArmijoParams()
     d = np.asarray(d0.d, dtype=float).copy()
     if not poly.contains(d):
         raise ValidationError("d0: starting point is infeasible")
 
     n = d.size
-    f_cur = ev.f_weighted(d)
+    f_cur = ev.f_weighted(d, alpha)
     trace = [IterRecord(k=0, f=f_cur, grad_norm=np.nan, active_count=0, omega=np.nan)]
     converged = False
     stalled = False
@@ -227,7 +228,7 @@ def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
                           stalled=False, certificate=certificate, f_final=f_cur)
 
     for k in range(1, K_max + 1):
-        g = ev.grad_f_weighted(d)
+        g = ev.grad_f_weighted(d, alpha)
         idx = list(_active_indices(d, poly, ACTIVE_TOL))
         min_u = None
         while True:
@@ -259,8 +260,8 @@ def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
                                     active_count=len(idx), omega=0.0))
             break
 
-        omega, f_new, stall = _armijo(ev.f_weighted, f_cur, d, pg, poly, armijo,
-                                      idx)
+        omega, f_new, stall = _armijo(lambda y: ev.f_weighted(y, alpha), f_cur,
+                                      d, pg, poly, armijo, idx)
         if stall:
             stalled = True
             certificate = {"reason": "stalled", "grad_norm": norm,
@@ -291,7 +292,7 @@ def _worker_count() -> int:
     return n
 
 
-def rgpm_multistart(poly: FeasiblePolytope, ev: ObjectiveEvaluator,
+def rgpm_multistart(poly: FeasiblePolytope, ev: ObjectiveEvaluator, alpha,
                     n_starts: int = 4, seed: int = 0, K_max: int = 150,
                     T_threshold: float = 1e-2,
                     armijo: ArmijoParams | None = None) -> tuple[RgpmResult, list]:
@@ -305,6 +306,7 @@ def rgpm_multistart(poly: FeasiblePolytope, ev: ObjectiveEvaluator,
     """
     if n_starts < 1:
         raise ValidationError(f"n_starts: expected at least 1, got {n_starts}")
+    alpha = _check_alpha(alpha)
     M_t, L = ev.M, -float(poly.b[-1])
     starts = [AntennaLayout(d=equidistant_layout(M_t).d, L=L), mmlwd_layout(M_t, L)]
     for i in range(max(0, n_starts - 2)):
@@ -312,7 +314,7 @@ def rgpm_multistart(poly: FeasiblePolytope, ev: ObjectiveEvaluator,
     starts = starts[:n_starts]
 
     def run(s):
-        return rgpm_optimize(s, poly, ev, K_max=K_max,
+        return rgpm_optimize(s, poly, ev, alpha, K_max=K_max,
                              T_threshold=T_threshold, armijo=armijo)
 
     workers = min(_worker_count(), len(starts))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mafh import AntennaLayout, FeasiblePolytope, RadarConfig, generate_fh_code
+from mafh import (AntennaLayout, FeasiblePolytope, ObjectiveEvaluator,
+                  RadarConfig, build_grid, generate_fh_code)
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +26,10 @@ def equid8():
 @pytest.fixture(scope="session")
 def poly8():
     return FeasiblePolytope.spacing_bounds(8, 7.0)
+
+
+@pytest.fixture(scope="session")
+def ev8(cfg, code8, equid8):
+    # full-grid evaluator of every 8-element, 7-wavelength-budget layout:
+    # the grid depends on the layout through M_t and L only
+    return ObjectiveEvaluator(build_grid(cfg, equid8), code8, cfg)

@@ -68,14 +68,10 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def corner_runs(cfg, code8, poly8, equid8):
+def corner_runs(poly8, ev8):
     """Multistart optimum on the full grid for each weight corner."""
-    out = {}
-    for alpha in CORNERS:
-        ev = ObjectiveEvaluator(build_grid(cfg, equid8, alpha), code8, cfg)
-        best, _ = rgpm_multistart(poly8, ev, n_starts=4, seed=0)
-        out[alpha] = (ev, best)
-    return out
+    return {alpha: rgpm_multistart(poly8, ev8, alpha, n_starts=4, seed=0)[0]
+            for alpha in CORNERS}
 
 
 def test_criterion_01_closed_form_matches_simulation():
@@ -183,20 +179,19 @@ def test_criterion_04_sidelobe_lower_bounds_hold(cfg, code8):
                    f"min gap {min_gap:.3g}")
 
 
-def test_criterion_05_analytic_gradient_matches_differences(cfg, code8, equid8):
+def test_criterion_05_analytic_gradient_matches_differences(ev8):
     h = 1e-6
     worst = 0.0
     for alpha in CORNERS:
-        grid = build_grid(cfg, equid8, alpha)
-        ev = ObjectiveEvaluator(grid, code8, cfg)
         for i in range(20):
             d = random_feasible_layout(8, 7.0, seed=100 + i).d
-            g = ev.grad_f_weighted(d)
+            g = ev8.grad_f_weighted(d, alpha)
             fd = np.empty_like(g)
             for j in range(d.size):
                 e = np.zeros_like(d)
                 e[j] = h
-                fd[j] = (ev.f_weighted(d + e) - ev.f_weighted(d - e)) / (2 * h)
+                fd[j] = (ev8.f_weighted(d + e, alpha)
+                         - ev8.f_weighted(d - e, alpha)) / (2 * h)
             rel = float(np.max(np.abs(g - fd) / np.abs(fd)))
             worst = max(worst, rel)
     ok = worst <= 1e-4
@@ -206,10 +201,10 @@ def test_criterion_05_analytic_gradient_matches_differences(cfg, code8, equid8):
 
 def test_criterion_06_descent_is_monotone_and_certified(cfg, code8, poly8,
                                                         equid8):
-    grid = build_grid(cfg, equid8, (0.0, 0.0, 1.0), theta_eval=np.pi / 3)
+    grid = build_grid(cfg, equid8, theta_eval=np.pi / 3)
     start = random_feasible_layout(8, 7.0, seed=1)
     res = rgpm_optimize(start, poly8, ObjectiveEvaluator(grid, code8, cfg),
-                        K_max=150, T_threshold=1e-2)
+                        (0.0, 0.0, 1.0), K_max=150, T_threshold=1e-2)
     fs = np.array([r.f for r in res.trace])
     monotone = bool(np.all(np.diff(fs) <= 1e-12))
     # objective at iteration 60 versus at termination (a converged run holds
@@ -227,14 +222,14 @@ def test_criterion_06_descent_is_monotone_and_certified(cfg, code8, poly8,
                    f"certificate={res.certificate['reason']}")
 
 
-def test_criterion_07_optimizer_beats_baselines(cfg, code8, poly8, equid8,
+def test_criterion_07_optimizer_beats_baselines(poly8, equid8, ev8,
                                                 corner_runs):
     lines = []
     ok = True
     for alpha in CORNERS:
-        ev, best = corner_runs[alpha]
-        f_eq = ev.f_weighted(equid8.d)
-        ga = ga_optimize(poly8, ev, GaParams(seed=0))
+        best = corner_runs[alpha]
+        f_eq = ev8.f_weighted(equid8.d, alpha)
+        ga = ga_optimize(poly8, ev8, alpha, GaParams(seed=0))
         good = (best.f_final <= 1.05 * ga.f_final
                 and best.f_final < f_eq and ga.f_final < f_eq)
         ok = ok and good
@@ -249,8 +244,7 @@ def test_criterion_08_optimized_width_and_sidelobes(cfg, code8, equid8,
         return measure_lobes(af_slice("angular", layout, code8, cfg,
                                       n_points=6001))
 
-    _, best = corner_runs[(1.0, 0.0, 0.0)]
-    r = lobes(best.layout)
+    r = lobes(corner_runs[(1.0, 0.0, 0.0)].layout)
     r_ref = lobes(mmlwd_layout(8, 7.0))
     r_eq = lobes(equid8)
     b = b_min(8, 7.0, 0.0)
@@ -266,27 +260,27 @@ def test_criterion_08_optimized_width_and_sidelobes(cfg, code8, equid8,
 
 def test_criterion_09_budget_sweep_reaches_plateau(cfg, code8):
     budgets = np.arange(4.0, 12.5, 1.0)
+    domains = {(0.0, 1.0, 0.0): "doppler-energy", (0.0, 0.0, 1.0): "delay-energy"}
+    prev, energy = {}, {alpha: [] for alpha in domains}
+    for L in budgets:
+        poly = FeasiblePolytope.spacing_bounds(8, float(L))
+        ref = AntennaLayout(d=np.full(7, 0.5), L=float(L))
+        ev = ObjectiveEvaluator(build_grid(cfg, ref, theta_eval=np.pi / 3),
+                                code8, cfg)
+        full = ObjectiveEvaluator(build_grid(cfg, ref), code8, cfg)
+        for alpha, name in domains.items():
+            if alpha not in prev:
+                best, _ = rgpm_multistart(poly, ev, alpha, n_starts=2, seed=0)
+            else:    # warm start: the smaller-budget optimum stays feasible
+                best = rgpm_optimize(AntennaLayout(d=prev[alpha], L=float(L)),
+                                     poly, ev, alpha)
+            prev[alpha] = best.layout.d
+            comp = full.f2 if name == "doppler-energy" else full.f3
+            energy[alpha].append(comp(best.layout.d))
     summary = []
     ok = True
-    for alpha, name in (((0.0, 1.0, 0.0), "doppler-energy"),
-                        ((0.0, 0.0, 1.0), "delay-energy")):
-        vals = []
-        prev = None
-        for L in budgets:
-            poly = FeasiblePolytope.spacing_bounds(8, float(L))
-            ref = AntennaLayout(d=np.full(7, 0.5), L=float(L))
-            ev = ObjectiveEvaluator(
-                build_grid(cfg, ref, alpha, theta_eval=np.pi / 3), code8, cfg)
-            if prev is None:
-                best, _ = rgpm_multistart(poly, ev, n_starts=2, seed=0)
-            else:    # warm start: the smaller-budget optimum stays feasible
-                best = rgpm_optimize(AntennaLayout(d=prev, L=float(L)), poly,
-                                     ev)
-            prev = best.layout.d
-            full = ObjectiveEvaluator(build_grid(cfg, ref, alpha), code8, cfg)
-            comp = full.f2 if name == "doppler-energy" else full.f3
-            vals.append(comp(best.layout.d))
-        vals = np.array(vals)
+    for alpha, name in domains.items():
+        vals = np.array(energy[alpha])
         rel = np.abs(np.diff(vals)) / vals[:-1]
         plateau = next((budgets[i] for i in range(rel.size)
                         if np.all(rel[i:] <= 0.02)), None)
@@ -300,7 +294,7 @@ def test_criterion_09_budget_sweep_reaches_plateau(cfg, code8):
 
 def test_criterion_10_detection_curves(cfg, code8, equid8, corner_runs):
     det = DetectionParams()   # P_fa 1e-4, 1e6 trials, -20..0 dB
-    opt = corner_runs[(1.0, 0.0, 0.0)][1].layout
+    opt = corner_runs[(1.0, 0.0, 0.0)].layout
     c_eq = detection_probability(equid8, code8, cfg, det, seed=0)
     c_opt = detection_probability(opt, code8, cfg, det, seed=0)
 
@@ -320,23 +314,20 @@ def test_criterion_10_detection_curves(cfg, code8, equid8, corner_runs):
                     f"optimized >= baseline − CI: {dom_ok}")
 
 
-def test_criterion_11_weight_sweep_correlations(cfg, code8, poly8, equid8):
+def test_criterion_11_weight_sweep_correlations(poly8, ev8):
     # Scalarization promises (a - b).(F(x_a) - F(x_b)) <= 0 for minimizers,
     # i.e. each f_k falls as its own weight alpha_k rises; the multistart
     # finds local minima, so this is checked as a rank correlation.  The
     # cross-domain correlations are not fixed by it and are only reported.
     triples = [(i / 5, j / 5, (5 - i - j) / 5)
                for i in range(6) for j in range(6 - i)]
-    score = ObjectiveEvaluator(
-        build_grid(cfg, equid8, (1 / 3, 1 / 3, 1 / 3)), code8, cfg)
     f1s, f2s, f3s = [], [], []
     for alpha in triples:
-        ev = ObjectiveEvaluator(build_grid(cfg, equid8, alpha), code8, cfg)
-        best, _ = rgpm_multistart(poly8, ev, n_starts=4, seed=0)
+        best, _ = rgpm_multistart(poly8, ev8, alpha, n_starts=4, seed=0)
         d = best.layout.d
-        f1s.append(score.f1(d))
-        f2s.append(score.f2(d))
-        f3s.append(score.f3(d))
+        f1s.append(ev8.f1(d))
+        f2s.append(ev8.f2(d))
+        f3s.append(ev8.f3(d))
     own = [float(stats.spearmanr([a[k] for a in triples], fs).statistic)
            for k, fs in enumerate((f1s, f2s, f3s))]
     r13 = float(stats.spearmanr(f1s, f3s).statistic)

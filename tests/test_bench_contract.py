@@ -3,15 +3,19 @@
 ``bench/tracer.py`` wraps package functions and ``ObjectiveEvaluator``
 methods by name and reads the positional arguments of ``kernel_matrix`` and
 the value of ``rgpm._worker_count``; ``bench/layers.py`` turns the recorded
-spans into per-layer metrics.  A package change that breaks one of those
-bindings fails here rather than in a benchmark run.
+spans into per-layer metrics; ``bench/workloads.py`` recomputes the sweep's
+objectives from ``build_grid`` (called with a third positional argument) and
+the grid's attributes.  A package change that breaks one of those bindings
+fails here rather than in a benchmark run.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mafh import cli
+from mafh import (AntennaLayout, ObjectiveEvaluator, RadarConfig, build_grid,
+                  cli, generate_fh_code, random_feasible_layout)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -40,8 +44,8 @@ def test_tracer_and_layer_metrics_bind(bench, tmp_path, capsys):
     assert not [s for s in spans if s[6] and "error" in s[6]]
     wall = sum(s[5] - s[4] for s in spans if s[2] == "cli.main")
     m = layers.layer_metrics(spans, wall)
-    assert m["objective.evaluators"] == 3          # one per weight triple
-    assert m["ambiguity.kernel_matrix.calls"] == 9
+    assert m["objective.evaluators"] == 1          # one per command
+    assert m["ambiguity.kernel_matrix.calls"] == 3
     assert m["ambiguity.kernel_matrix.samples"] > 0
     assert m["rgpm.multistart.calls"] == 3
     assert m["rgpm.optimize.calls"] == 6
@@ -67,5 +71,19 @@ def test_tradeoff_builds_each_table_once_per_evaluator(bench, tmp_path, capsys,
     evaluators = sum(s[2] == "objective.ObjectiveEvaluator.__init__"
                      for s in spans)
     tables = sum(s[2] == "ambiguity.kernel_matrix" for s in spans)
-    assert evaluators == 6                         # resolution 2: 6 triples
-    assert tables == 3 * evaluators == 18
+    assert evaluators == 1                         # for all 6 weight triples
+    assert tables == 3
+
+
+def test_sweep_check_recomputes_evaluator_objectives(bench, tmp_path):
+    import workloads
+    sweep = workloads.Sweep(0, tmp_path)
+    lay = random_feasible_layout(8, 7.0, seed=3)
+    fs, errors = sweep._objectives(0, lay, np.random.default_rng(0))
+    assert errors == []
+    cfg = RadarConfig()
+    ref = AntennaLayout(d=np.full(7, 0.5), L=7.0)
+    ev = ObjectiveEvaluator(build_grid(cfg, ref), generate_fh_code(cfg, 8, 0),
+                            cfg)
+    want = (ev.f1(lay.d), ev.f2(lay.d), ev.f3(lay.d))
+    np.testing.assert_allclose(fs, want, rtol=1e-9, atol=0)

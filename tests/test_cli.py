@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mafh import FhCode, RadarConfig, generate_fh_code, save_fh_code
 from mafh.cli import main
 
 
@@ -137,6 +138,22 @@ def test_theory_bound_with_overlay(tmp_path):
     assert np.all(data[:, 2] >= data[:, 1] - 1e-9)
 
 
+def _layout4(tmp_path):
+    path = tmp_path / "L4.json"
+    path.write_text(json.dumps({"d": [0.5, 0.7, 0.9]}))
+    return path
+
+
+def test_theory_overlay_layout_code_mismatch(tmp_path, capsys):
+    # a 4-element layout against the default 8-row code
+    out = tmp_path / "out"
+    rc = main(["theory", "--bound", "doppler", "--points", "41",
+               "--layout", f"file:{_layout4(tmp_path)}", "--out-dir", str(out)])
+    assert rc == 2
+    assert "error: M_t:" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_optimize_rgpm_smoke(tmp_path):
     args = ["optimize", "--mt", "2", "--budget", "1.2", "--kmax", "20",
             "--starts", "2"]
@@ -178,6 +195,23 @@ def test_optimize_ga_smoke(tmp_path):
     assert data.shape[0] == 4   # initial + 3 generations
 
 
+def test_code_file_uses_first_mt_rows(tmp_path):
+    cfg = RadarConfig()
+    code = generate_fh_code(cfg, 8, seed=5)
+    save_fh_code(code, tmp_path / "c8.json")
+    save_fh_code(FhCode(c=code.c[:4]), tmp_path / "c4.json")
+    args = ["optimize", "--mt", "4", "--budget", "3", "--starts", "2",
+            "--kmax", "10", "--theta-eval"]
+    for rows in ("c8", "c4"):
+        assert main(args + ["--code", str(tmp_path / f"{rows}.json"),
+                            "--out-dir", str(tmp_path / rows)]) == 0
+    assert ((tmp_path / "c8" / "summary.json").read_bytes()
+            == (tmp_path / "c4" / "summary.json").read_bytes())
+    assert main(["af", "--axis", "delay", "--mt", "4", "--points", "17",
+                 "--code", str(tmp_path / "c8.json"),
+                 "--out-dir", str(tmp_path / "af")]) == 0
+
+
 def test_optimize_bad_alpha(tmp_path, capsys):
     assert main(["optimize", "--alpha", "0.5,0.5",
                  "--out-dir", str(tmp_path)]) == 2
@@ -185,6 +219,10 @@ def test_optimize_bad_alpha(tmp_path, capsys):
     assert main(["optimize", "--alpha", "0.5,0.4,0.2",
                  "--out-dir", str(tmp_path)]) == 2
     assert "alpha" in capsys.readouterr().err
+    assert main(["optimize", "--alpha", "a,b,c",
+                 "--out-dir", str(tmp_path / "letters")]) == 2
+    assert "alpha" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_tradeoff_smoke(tmp_path):
@@ -220,6 +258,16 @@ def test_detect_smoke_and_matched_tie(tmp_path):
     # matched-filter peak is layout independent, so shared noise draws tie
     np.testing.assert_array_equal(data[:, 1], data[:, 2])
     assert np.all(np.diff(data[:, 1]) >= 0)
+
+
+def test_detect_checks_every_layout_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["detect", "--layouts", f"equidistant,file:{_layout4(tmp_path)}",
+               "--pfa", "1e-3", "--trials", "40000", "--snr=-12:0:6",
+               "--out-dir", str(out)])
+    assert rc == 2
+    assert "error: M_t:" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_detect_rejects_bad_pfa(tmp_path, capsys):

@@ -15,6 +15,8 @@ from mafh import (
 )
 from mafh.ga import _repair
 
+F1 = (1.0, 0.0, 0.0)   # angular objective only
+
 
 @pytest.fixture(scope="module")
 def small():
@@ -22,7 +24,7 @@ def small():
     cfg = RadarConfig()
     code = generate_fh_code(cfg, 2, seed=0)
     lay = AntennaLayout(d=np.array([0.5]), L=1.2)
-    grid = build_grid(cfg, lay, (1.0, 0.0, 0.0))
+    grid = build_grid(cfg, lay)
     poly = FeasiblePolytope.spacing_bounds(2, 1.2)
     return ObjectiveEvaluator(grid, code, cfg), poly
 
@@ -73,7 +75,7 @@ def test_repair_preserves_ordering_of_excess():
 
 def test_ga_smoke_and_feasibility(small):
     ev, poly = small
-    res = ga_optimize(poly, ev,
+    res = ga_optimize(poly, ev, F1,
                       GaParams(generations=5, population=6, seed=3))
     assert poly.contains(res.layout.d)
     assert len(res.best_trace) == 6      # initial + one per generation
@@ -82,7 +84,7 @@ def test_ga_smoke_and_feasibility(small):
 
 def test_ga_trace_monotone(small):
     ev, poly = small
-    res = ga_optimize(poly, ev,
+    res = ga_optimize(poly, ev, F1,
                       GaParams(generations=12, population=8, seed=1))
     trace = np.asarray(res.best_trace)
     assert np.all(np.diff(trace) <= 1e-12)   # elitism forbids regressions
@@ -91,19 +93,19 @@ def test_ga_trace_monotone(small):
 def test_ga_deterministic(small):
     ev, poly = small
     p = GaParams(generations=4, population=6, seed=7)
-    a = ga_optimize(poly, ev, p)
-    b = ga_optimize(poly, ev, p)
+    a = ga_optimize(poly, ev, F1, p)
+    b = ga_optimize(poly, ev, F1, p)
     np.testing.assert_array_equal(a.layout.d, b.layout.d)
     assert a.best_trace == b.best_trace
 
-    c = ga_optimize(poly, ev,
+    c = ga_optimize(poly, ev, F1,
                     GaParams(generations=4, population=6, seed=8))
     assert c.best_trace != a.best_trace  # different stream, different path
 
 
 def test_ga_tiny_run(small):
     ev, poly = small
-    res = ga_optimize(poly, ev,
+    res = ga_optimize(poly, ev, F1,
                       GaParams(generations=1, population=2, seed=0))
     assert len(res.best_trace) == 2
     assert np.isfinite(res.f_final)
@@ -114,15 +116,21 @@ def test_ga_infeasible_budget(small):
     bad = FeasiblePolytope(A=np.vstack([np.eye(1), -np.ones((1, 1))]),
                            b=np.array([0.5, -0.4]))   # budget below the floor
     with pytest.raises(ValidationError, match="^L:"):
-        ga_optimize(bad, ev)
+        ga_optimize(bad, ev, F1)
+
+
+def test_ga_rejects_bad_alpha(small):
+    ev, poly = small
+    with pytest.raises(ValidationError, match="^alpha:"):
+        ga_optimize(poly, ev, (0.5, 0.6, -0.1))
 
 
 def test_ga_tracks_gradient_optimizer(small):
     # On the unimodal 1-D problem the GA should land near the same spacing
     # multistart projected gradient finds, and not beat it by much.
     ev, poly = small
-    ref, _ = rgpm_multistart(poly, ev, seed=0)
-    res = ga_optimize(poly, ev,
+    ref, _ = rgpm_multistart(poly, ev, F1, seed=0)
+    res = ga_optimize(poly, ev, F1,
                       GaParams(generations=30, population=10, seed=0))
     assert res.f_final >= ref.f_final - 1e-6
     assert abs(res.layout.d[0] - ref.layout.d[0]) < 0.05

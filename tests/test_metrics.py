@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from mafh import (
     AmbiguitySlice,
@@ -148,6 +149,29 @@ def test_detection_confidence_intervals(det_curve):
     for p, lo, hi in zip(det_curve.p_d, det_curve.ci_low, det_curve.ci_high):
         assert 0.0 <= lo <= p <= hi <= 1.0
         assert hi - lo < 0.02
+
+
+def test_detection_matches_closed_form(det_curve):
+    """Square-law detection of a known amplitude in complex Gaussian noise.
+
+    With noise variance sigma^2 = M_t the threshold is -sigma^2 ln P_fa and
+    P_d = Q_1(sqrt(2a^2/sigma^2), sqrt(2T/sigma^2)) = ncx2.sf(2T/sigma^2, 2,
+    2a^2/sigma^2), a = sqrt(M_r snr) M_t.  Each estimate may differ by 5 sd:
+    its binomial spread plus the spread passed on by the threshold, which is
+    the empirical 1 - P_fa quantile of ``trials`` noise draws.
+    """
+    M_t, M_r, p_fa, n = 8, 8, 1e-3, det_curve.trials
+    sigma2 = float(M_t)
+    T = -sigma2 * np.log(p_fa)
+    sd_T = sigma2 * np.sqrt((1.0 - p_fa) / (n * p_fa))
+    assert abs(det_curve.threshold - T) <= 5 * sd_T
+    x = 2.0 * T / sigma2
+    for snr_db, pd in zip(det_curve.snr_db, det_curve.p_d):
+        lam = 2.0 * M_r * 10.0 ** (snr_db / 10.0) * M_t ** 2 / sigma2
+        want = stats.ncx2.sf(x, 2, lam)
+        dens = 2.0 / sigma2 * stats.ncx2.pdf(x, 2, lam)
+        sd = np.sqrt(max(want * (1.0 - want), 1.0 / n) / n + (dens * sd_T) ** 2)
+        assert abs(pd - want) <= 5 * sd, (snr_db, pd, want, sd)
 
 
 def test_detection_deterministic(cfg, code8, equid8, det_curve):

@@ -28,12 +28,11 @@ def _scaled_grid(g, cfg, k1, k2, k3):
     return ObjectiveGrid(
         n1=n1, n2=n2, n3=n3, theta_samples=th, v_samples=v, tau_samples=tau,
         d_theta=np.pi / n1, d_v=2 * cfg.f_max / n2 * cfg.delta_t,
-        d_tau=2 * cfg.T_w / n3 / cfg.delta_t, alpha=g.alpha,
-        theta_eval=None, theta_f23=th, w_theta23=np.pi / n1)
+        d_tau=2 * cfg.T_w / n3 / cfg.delta_t, theta_f23=th, w_theta23=np.pi / n1)
 
 
 def test_grid_sizes_default_config(cfg, equid8):
-    g = build_grid(cfg, equid8, (1 / 3, 1 / 3, 1 / 3))
+    g = build_grid(cfg, equid8)
     assert (g.n1, g.n2, g.n3) == (35, 240, 192)
     assert g.theta_samples.size == 36
     assert g.v_samples.size == 241
@@ -45,43 +44,44 @@ def test_grid_sizes_default_config(cfg, equid8):
     assert_allclose(g.d_tau, 2 * cfg.T_w / 192 / cfg.delta_t)
 
 
-def test_grid_alpha_validation(cfg, equid8):
-    with pytest.raises(ValidationError, match="^alpha:"):
-        build_grid(cfg, equid8, (0.5, 0.5))
-    with pytest.raises(ValidationError, match="^alpha:"):
-        build_grid(cfg, equid8, (-0.1, 0.6, 0.5))
-    with pytest.raises(ValidationError, match="^alpha:"):
-        build_grid(cfg, equid8, (0.5, 0.4, 0.4))
+def test_alpha_validation(ev8, equid8):
+    # the weights are checked where they enter, on every weighted call
+    for alpha in [(0.5, 0.5), (-0.1, 0.6, 0.5), (0.5, 0.4, 0.4),
+                  (np.nan, 0.5, 0.5), None]:
+        with pytest.raises(ValidationError, match="^alpha:"):
+            ev8.f_weighted(equid8.d, alpha)
+        with pytest.raises(ValidationError, match="^alpha:"):
+            ev8.grad_f_weighted(equid8.d, alpha)
+        with pytest.raises(ValidationError, match="^alpha:"):
+            finite_diff_grad(ev8, alpha, equid8.d)
 
 
 def test_grid_theta_eval_mode(cfg, equid8):
-    g = build_grid(cfg, equid8, (0, 0, 1), theta_eval=np.pi / 3)
+    g = build_grid(cfg, equid8, theta_eval=np.pi / 3)
     assert_allclose(g.theta_f23, [np.pi / 3])
     assert g.w_theta23 == pytest.approx(np.pi)
     with pytest.raises(ValidationError, match="^theta_eval:"):
-        build_grid(cfg, equid8, (0, 0, 1), theta_eval=2.0)
+        build_grid(cfg, equid8, theta_eval=2.0)
 
 
-def test_frozen_objectives_equidistant(cfg, code8, equid8):
-    g = build_grid(cfg, equid8, (1 / 3, 1 / 3, 1 / 3))
-    ev = ObjectiveEvaluator(g, code8, cfg)
-    assert_allclose(ev.f1(equid8.d), 116.370402, rtol=1e-8)
-    assert_allclose(ev.f2(equid8.d), 81.348069, rtol=1e-8)
-    assert_allclose(ev.f3(equid8.d), 49.085063, rtol=1e-8)
+def test_frozen_objectives_equidistant(ev8, equid8):
+    assert_allclose(ev8.f1(equid8.d), 116.370402, rtol=1e-8)
+    assert_allclose(ev8.f2(equid8.d), 81.348069, rtol=1e-8)
+    assert_allclose(ev8.f3(equid8.d), 49.085063, rtol=1e-8)
 
 
-def test_matched_diagonal_floor(cfg, code8, equid8):
+def test_matched_diagonal_floor(ev8, equid8):
     # the n1+1 matched samples alone contribute M_t^2 * cell each to f1
-    g = build_grid(cfg, equid8, (1, 0, 0))
+    g = ev8.grid
     floor = 64.0 * (g.n1 + 1) * g.d_theta ** 2
-    assert ObjectiveEvaluator(g, code8, cfg).f1(equid8.d) >= floor
+    assert ev8.f1(equid8.d) >= floor
 
 
 def test_single_antenna_degenerate(cfg):
     """M_t=1: |chi| = 1 everywhere, so f1 is the closed-rule square measure."""
     lay = AntennaLayout(d=np.zeros(0), L=0.0)
     code = generate_fh_code(cfg, 1, seed=0)
-    g = build_grid(cfg, lay, (1, 0, 0))
+    g = build_grid(cfg, lay)
     want = (np.pi * (1 + 1 / g.n1)) ** 2  # (n1+1 samples) x (pi/n1 weight), squared
     assert_allclose(ObjectiveEvaluator(g, code, cfg).f1(lay.d), want, rtol=1e-12)
 
@@ -91,7 +91,7 @@ def test_f2_single_element_reduction():
     cfg = RadarConfig(Q=1, K=8, T_w=None)
     lay = AntennaLayout(d=np.zeros(0), L=0.0)
     code = generate_fh_code(cfg, 1, seed=0)
-    g = build_grid(cfg, lay, (0, 1, 0))
+    g = build_grid(cfg, lay)
     want = (np.sinc(g.v_samples * cfg.delta_t) ** 2).sum() * g.d_v \
         * g.theta_f23.size * g.w_theta23
     assert_allclose(ObjectiveEvaluator(g, code, cfg).f2(lay.d), want, rtol=1e-12)
@@ -101,77 +101,71 @@ def test_f3_single_element_reduction():
     cfg = RadarConfig(Q=1, K=8, T_w=None)
     lay = AntennaLayout(d=np.zeros(0), L=0.0)
     code = generate_fh_code(cfg, 1, seed=0)
-    g = build_grid(cfg, lay, (0, 0, 1))
+    g = build_grid(cfg, lay)
     tri = np.clip(1.0 - np.abs(g.tau_samples) / cfg.delta_t, 0.0, None)
     want = (tri ** 2).sum() * g.d_tau * g.theta_f23.size * g.w_theta23
     assert_allclose(ObjectiveEvaluator(g, code, cfg).f3(lay.d), want, rtol=1e-12)
 
 
-def test_weight_collapse(cfg, code8, equid8):
-    ev1 = ObjectiveEvaluator(build_grid(cfg, equid8, (1, 0, 0)), code8, cfg)
-    assert_allclose(ev1.f_weighted(equid8.d), ev1.f1(equid8.d), rtol=1e-12)
-    ev3 = ObjectiveEvaluator(build_grid(cfg, equid8, (0, 0, 1)), code8, cfg)
-    assert_allclose(ev3.f_weighted(equid8.d), ev3.f3(equid8.d), rtol=1e-12)
+def test_weight_collapse(ev8, equid8):
+    assert_allclose(ev8.f_weighted(equid8.d, (1, 0, 0)), ev8.f1(equid8.d),
+                    rtol=1e-12)
+    assert_allclose(ev8.f_weighted(equid8.d, (0, 0, 1)), ev8.f3(equid8.d),
+                    rtol=1e-12)
 
 
-def test_weighted_convex_combination(cfg, code8, equid8):
-    ev = ObjectiveEvaluator(build_grid(cfg, equid8, (1 / 3, 1 / 3, 1 / 3)),
-                            code8, cfg)
-    parts = [ev.f1(equid8.d), ev.f2(equid8.d), ev.f3(equid8.d)]
-    f = ev.f_weighted(equid8.d)
+def test_weighted_convex_combination(ev8, equid8):
+    parts = [ev8.f1(equid8.d), ev8.f2(equid8.d), ev8.f3(equid8.d)]
+    f = ev8.f_weighted(equid8.d, (1 / 3, 1 / 3, 1 / 3))
     assert min(parts) <= f <= max(parts)
 
 
 @pytest.mark.parametrize("alpha", ALPHA_CORNERS)
-def test_gradient_matches_finite_differences(cfg, code8, alpha):
+def test_gradient_matches_finite_differences(ev8, alpha):
     lay = random_feasible_layout(8, 7.0, seed=5)
-    ev = ObjectiveEvaluator(build_grid(cfg, lay, alpha), code8, cfg)
-    ga = ev.grad_f_weighted(lay.d)
-    gn = finite_diff_grad(ev, lay.d, h=1e-6)
+    ga = ev8.grad_f_weighted(lay.d, alpha)
+    gn = finite_diff_grad(ev8, alpha, lay.d, h=1e-6)
     assert_allclose(ga, gn, rtol=1e-4, atol=1e-8)
 
 
 def test_gradient_matches_fd_theta_eval_mode(cfg, code8):
     lay = random_feasible_layout(8, 7.0, seed=6)
-    g = build_grid(cfg, lay, (0.2, 0.3, 0.5), theta_eval=np.pi / 3)
+    g = build_grid(cfg, lay, theta_eval=np.pi / 3)
     ev = ObjectiveEvaluator(g, code8, cfg)
-    assert_allclose(ev.grad_f_weighted(lay.d),
-                    finite_diff_grad(ev, lay.d, h=1e-6),
+    alpha = (0.2, 0.3, 0.5)
+    assert_allclose(ev.grad_f_weighted(lay.d, alpha),
+                    finite_diff_grad(ev, alpha, lay.d, h=1e-6),
                     rtol=1e-4, atol=1e-8)
 
 
-def test_finite_differences_second_order(cfg, code8):
+def test_finite_differences_second_order(ev8):
     """Halving h cuts the central-difference error roughly fourfold."""
     lay = random_feasible_layout(8, 7.0, seed=7)
-    ev = ObjectiveEvaluator(build_grid(cfg, lay, (1, 0, 0)), code8, cfg)
-    exact = ev.grad_f_weighted(lay.d)
-    err = [np.max(np.abs(finite_diff_grad(ev, lay.d, h=h) - exact))
+    exact = ev8.grad_f_weighted(lay.d, (1, 0, 0))
+    err = [np.max(np.abs(finite_diff_grad(ev8, (1, 0, 0), lay.d, h=h) - exact))
            for h in (4e-3, 2e-3)]
     assert err[1] < err[0] / 2.5
 
 
-def test_finite_diff_rejects_bad_step(cfg, code8, equid8):
-    ev = ObjectiveEvaluator(build_grid(cfg, equid8, (1, 0, 0)), code8, cfg)
+def test_finite_diff_rejects_bad_step(ev8, equid8):
     with pytest.raises(ValidationError, match="^h:"):
-        finite_diff_grad(ev, equid8.d, h=0.0)
+        finite_diff_grad(ev8, (1, 0, 0), equid8.d, h=0.0)
 
 
-def test_gradient_length_excludes_anchor(cfg, code8, equid8):
+def test_gradient_length_excludes_anchor(ev8, equid8):
     # d_{t,0} = 0 is a convention, not a variable: M_t - 1 components only
-    ev = ObjectiveEvaluator(build_grid(cfg, equid8, (1, 0, 0)), code8, cfg)
-    assert ev.grad_f_weighted(equid8.d).shape == (7,)
+    assert ev8.grad_f_weighted(equid8.d, (1, 0, 0)).shape == (7,)
 
 
-def test_evaluator_deterministic(cfg, code8, equid8):
-    g = build_grid(cfg, equid8, (0.4, 0.3, 0.3))
-    ev = ObjectiveEvaluator(g, code8, cfg)
-    assert ev.f_weighted(equid8.d) == ev.f_weighted(equid8.d)
-    a = ev.grad_f_weighted(equid8.d)
-    b = ev.grad_f_weighted(equid8.d)
+def test_evaluator_deterministic(ev8, equid8):
+    alpha = (0.4, 0.3, 0.3)
+    assert ev8.f_weighted(equid8.d, alpha) == ev8.f_weighted(equid8.d, alpha)
+    a = ev8.grad_f_weighted(equid8.d, alpha)
+    b = ev8.grad_f_weighted(equid8.d, alpha)
     assert np.array_equal(a, b)
 
 
-def test_refinement_convergence(cfg, code8, equid8):
+def test_refinement_convergence(cfg, code8, equid8, ev8):
     """Finer grids move each objective toward a limit.
 
     The Doppler/delay integrands are smooth, so doubling stays within 2%;
@@ -179,20 +173,19 @@ def test_refinement_convergence(cfg, code8, equid8):
     and its closed-rule sum converges more slowly (about 5% per doubling at
     the minimal n1).
     """
+    fine = ObjectiveEvaluator(_scaled_grid(ev8.grid, cfg, 2, 2, 2), code8, cfg)
     for alpha, tol in [((1, 0, 0), 0.06), ((0, 1, 0), 0.02), ((0, 0, 1), 0.02)]:
-        g = build_grid(cfg, equid8, alpha)
-        f_base = ObjectiveEvaluator(g, code8, cfg).f_weighted(equid8.d)
-        g2 = _scaled_grid(g, cfg, 2, 2, 2)
-        f_fine = ObjectiveEvaluator(g2, code8, cfg).f_weighted(equid8.d)
+        f_base = ev8.f_weighted(equid8.d, alpha)
+        f_fine = fine.f_weighted(equid8.d, alpha)
         assert abs(f_fine - f_base) / f_base < tol
 
 
-def test_refinement_is_cauchy(cfg, code8, equid8):
+def test_refinement_is_cauchy(cfg, code8, equid8, ev8):
     # successive doublings shrink the change: the sums are converging
-    g = build_grid(cfg, equid8, (1 / 3, 1 / 3, 1 / 3))
-    f1x = ObjectiveEvaluator(g, code8, cfg).f_weighted(equid8.d)
-    f2x = ObjectiveEvaluator(_scaled_grid(g, cfg, 2, 2, 2), code8,
-                             cfg).f_weighted(equid8.d)
-    f4x = ObjectiveEvaluator(_scaled_grid(g, cfg, 4, 4, 4), code8,
-                             cfg).f_weighted(equid8.d)
+    alpha = (1 / 3, 1 / 3, 1 / 3)
+    f1x = ev8.f_weighted(equid8.d, alpha)
+    f2x = ObjectiveEvaluator(_scaled_grid(ev8.grid, cfg, 2, 2, 2), code8,
+                             cfg).f_weighted(equid8.d, alpha)
+    f4x = ObjectiveEvaluator(_scaled_grid(ev8.grid, cfg, 4, 4, 4), code8,
+                             cfg).f_weighted(equid8.d, alpha)
     assert abs(f4x - f2x) < abs(f2x - f1x)

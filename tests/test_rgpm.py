@@ -20,6 +20,8 @@ from mafh import (
 )
 from mafh.rgpm import _armijo, write_trace_csv
 
+F1 = (1.0, 0.0, 0.0)   # angular objective only
+
 
 @pytest.fixture(scope="module")
 def small():
@@ -27,7 +29,7 @@ def small():
     cfg = RadarConfig()
     code = generate_fh_code(cfg, 2, seed=0)
     lay = AntennaLayout(d=np.array([0.5]), L=1.2)
-    grid = build_grid(cfg, lay, (1.0, 0.0, 0.0))
+    grid = build_grid(cfg, lay)
     poly = FeasiblePolytope.spacing_bounds(2, 1.2)
     return ObjectiveEvaluator(grid, code, cfg), poly
 
@@ -99,8 +101,9 @@ def test_armijo_params_validation():
 
 def _line_search(ev, d, descent_dir, poly):
     """Armijo search for f_weighted along ``-descent_dir`` from ``d``, no working set."""
-    return _armijo(ev.f_weighted, ev.f_weighted(d), d, descent_dir, poly,
-                   ArmijoParams(), [])
+    def f(y):
+        return ev.f_weighted(y, F1)
+    return _armijo(f, f(d), d, descent_dir, poly, ArmijoParams(), [])
 
 
 def test_armijo_step_respects_feasibility_cap(small):
@@ -122,16 +125,16 @@ def test_armijo_step_zero_direction_rejected(small):
 def test_armijo_step_stalls_uphill(small):
     ev, poly = small
     d = np.array([0.8])
-    uphill = -ev.grad_f_weighted(d)   # a step along +gradient cannot descend
+    uphill = -ev.grad_f_weighted(d, F1)   # a step along +gradient cannot descend
     if np.linalg.norm(uphill) > 0:
         omega, f_new, stalled = _line_search(ev, d, uphill, poly)
         assert stalled and omega is None
-        assert f_new == ev.f_weighted(d)
+        assert f_new == ev.f_weighted(d, F1)
 
 
 def test_rgpm_monotone_and_feasible(small):
     ev, poly = small
-    res = rgpm_optimize(AntennaLayout(d=np.array([1.0]), L=1.2), poly, ev,
+    res = rgpm_optimize(AntennaLayout(d=np.array([1.0]), L=1.2), poly, ev, F1,
                         K_max=50)
     fs = [r.f for r in res.trace]
     assert all(b <= a + 1e-12 for a, b in zip(fs, fs[1:]))
@@ -144,9 +147,9 @@ def test_rgpm_matches_exhaustive_search(small):
     """Multistart lands on the global optimum of the 1-D landscape."""
     ev, poly = small
     ds = np.arange(0.5, 1.2 + 1e-12, 1e-3)
-    vals = [ev.f_weighted(np.array([x])) for x in ds]
+    vals = [ev.f_weighted(np.array([x]), F1) for x in ds]
     d_star = ds[int(np.argmin(vals))]
-    best, _ = rgpm_multistart(poly, ev, seed=0)
+    best, _ = rgpm_multistart(poly, ev, F1, seed=0)
     assert abs(best.layout.d[0] - d_star) <= 1e-2
     assert best.f_final <= min(vals) + 1e-9
 
@@ -154,8 +157,8 @@ def test_rgpm_matches_exhaustive_search(small):
 def test_rgpm_deterministic(small):
     ev, poly = small
     d0 = AntennaLayout(d=np.array([0.95]), L=1.2)
-    r1 = rgpm_optimize(d0, poly, ev)
-    r2 = rgpm_optimize(d0, poly, ev)
+    r1 = rgpm_optimize(d0, poly, ev, F1)
+    r2 = rgpm_optimize(d0, poly, ev, F1)
     assert_array_equal(r1.layout.d, r2.layout.d)
     assert [a.f for a in r1.trace] == [a.f for a in r2.trace]
 
@@ -164,27 +167,29 @@ def test_rgpm_argument_validation(small):
     ev, poly = small
     d0 = AntennaLayout(d=np.array([0.8]), L=1.2)
     with pytest.raises(ValidationError, match="^K_max:"):
-        rgpm_optimize(d0, poly, ev, K_max=0)
+        rgpm_optimize(d0, poly, ev, F1, K_max=0)
     with pytest.raises(ValidationError, match="^T_threshold:"):
-        rgpm_optimize(d0, poly, ev, T_threshold=0.0)
+        rgpm_optimize(d0, poly, ev, F1, T_threshold=0.0)
     with pytest.raises(ValidationError, match="^d0:"):
-        rgpm_optimize(AntennaLayout(d=np.array([1.25]), L=1.3), poly, ev)
+        rgpm_optimize(AntennaLayout(d=np.array([1.25]), L=1.3), poly, ev, F1)
+    with pytest.raises(ValidationError, match="^alpha:"):
+        rgpm_optimize(d0, poly, ev, (0.5, 0.5, 0.5))
 
 
 def test_rgpm_degenerate_polytope(cfg):
     # budget exactly equal to the sum of floors: a single feasible point
     code = generate_fh_code(cfg, 4, seed=0)
     lay = AntennaLayout(d=np.full(3, 0.5), L=1.5)
-    grid = build_grid(cfg, lay, (1, 0, 0))
+    grid = build_grid(cfg, lay)
     poly = FeasiblePolytope.spacing_bounds(4, 1.5)
-    res = rgpm_optimize(lay, poly, ObjectiveEvaluator(grid, code, cfg))
+    res = rgpm_optimize(lay, poly, ObjectiveEvaluator(grid, code, cfg), F1)
     assert res.converged and res.certificate["reason"] == "degenerate"
     assert_allclose(res.layout.d, [0.5, 0.5, 0.5])
 
 
 def test_rgpm_iteration_cap(small):
     ev, poly = small
-    res = rgpm_optimize(AntennaLayout(d=np.array([1.0]), L=1.2), poly, ev,
+    res = rgpm_optimize(AntennaLayout(d=np.array([1.0]), L=1.2), poly, ev, F1,
                         K_max=1, T_threshold=1e-12)
     assert not res.converged
     assert res.certificate["reason"] == "max-iterations"
@@ -195,14 +200,14 @@ def test_rgpm_stall_returns_best_so_far(poly8):
     class NoDecrease:
         """Objective that admits no sufficient-decrease step anywhere."""
 
-        def f_weighted(self, d):
+        def f_weighted(self, d, alpha):
             return 1.0
 
-        def grad_f_weighted(self, d):
+        def grad_f_weighted(self, d, alpha):
             return np.ones_like(d)
 
     d0 = AntennaLayout(d=np.full(7, 0.9), L=7.0)
-    res = rgpm_optimize(d0, poly8, NoDecrease())
+    res = rgpm_optimize(d0, poly8, NoDecrease(), F1)
     assert res.stalled and not res.converged
     assert res.certificate["reason"] == "stalled"
     assert_allclose(res.layout.d, d0.d)
@@ -215,30 +220,32 @@ def test_rgpm_roundoff_does_not_stall(cfg, code8, poly8, equid8):
     This start of the default (1, 0, 0) multistart used to report a stall
     before the first line-search trial, at ||Pg|| = 8.65.
     """
-    ev = ObjectiveEvaluator(build_grid(cfg, equid8, (1, 0, 0)), code8, cfg)
-    res = rgpm_optimize(random_feasible_layout(8, 7.0, seed=2), poly8, ev)
+    ev = ObjectiveEvaluator(build_grid(cfg, equid8), code8, cfg)
+    res = rgpm_optimize(random_feasible_layout(8, 7.0, seed=2), poly8, ev, F1)
     assert not res.stalled and res.converged
     assert res.certificate["reason"] == "kkt-multipliers"
 
 
 def test_multistart_start_count_and_best(small):
     ev, poly = small
-    best, results = rgpm_multistart(poly, ev, n_starts=4, seed=0)
+    best, results = rgpm_multistart(poly, ev, F1, n_starts=4, seed=0)
     assert len(results) == 4
     assert best.f_final == min(r.f_final for r in results)
     # first two starts are the deterministic layouts
     assert results[0].trace[0].f == pytest.approx(
-        ev.f_weighted(np.array([0.5])))
+        ev.f_weighted(np.array([0.5]), F1))
     with pytest.raises(ValidationError, match="^n_starts:"):
-        rgpm_multistart(poly, ev, n_starts=0)
+        rgpm_multistart(poly, ev, F1, n_starts=0)
+    with pytest.raises(ValidationError, match="^alpha:"):
+        rgpm_multistart(poly, ev, (1.0, 0.0))
 
 
 def test_multistart_thread_count_invariance(small, monkeypatch):
     ev, poly = small
     monkeypatch.setenv("MAFH_THREADS", "1")
-    b1, _ = rgpm_multistart(poly, ev, seed=3)
+    b1, _ = rgpm_multistart(poly, ev, F1, seed=3)
     monkeypatch.setenv("MAFH_THREADS", "4")
-    b4, _ = rgpm_multistart(poly, ev, seed=3)
+    b4, _ = rgpm_multistart(poly, ev, F1, seed=3)
     assert_array_equal(b1.layout.d, b4.layout.d)
     assert b1.f_final == b4.f_final
 
@@ -247,12 +254,12 @@ def test_multistart_rejects_bad_thread_env(small, monkeypatch):
     ev, poly = small
     monkeypatch.setenv("MAFH_THREADS", "plenty")
     with pytest.raises(ValidationError, match="MAFH_THREADS"):
-        rgpm_multistart(poly, ev)
+        rgpm_multistart(poly, ev, F1)
 
 
 def test_write_trace_csv(tmp_path, small):
     ev, poly = small
-    res = rgpm_optimize(AntennaLayout(d=np.array([1.0]), L=1.2), poly, ev,
+    res = rgpm_optimize(AntennaLayout(d=np.array([1.0]), L=1.2), poly, ev, F1,
                         K_max=20)
     path = tmp_path / "trace.csv"
     write_trace_csv(res, path, {"M_t": 2}, seed=0)
