@@ -7,11 +7,10 @@ genetic-algorithm baseline, and Monte Carlo detection metrics.
 """
 
 from .ambiguity import (AmbiguityQuery, AmbiguitySlice, af_slice, chi,
-                        chi_angular, chi_mag_sq, chi_oracle, chi_r)
+                        chi_mag_sq, chi_oracle, chi_r)
 from .ga import GaParams, GaResult, ga_optimize
 from .metrics import (BoundGap, DetectionCurve, LobeReport, bound_gap,
-                      detection_probability, main_lobe_width, measure_lobes,
-                      peak_sidelobe_level)
+                      detection_probability, measure_lobes)
 from .model import (AntennaLayout, DetectionParams, FhCode, RadarConfig,
                     ValidationError, equidistant_layout, generate_fh_code,
                     load_config, load_fh_code, parse_config,
@@ -20,26 +19,24 @@ from .model import (AntennaLayout, DetectionParams, FhCode, RadarConfig,
 from .objective import (ObjectiveEvaluator, ObjectiveGrid, build_grid,
                         finite_diff_grad)
 from .output import __version__
-from .rgpm import (ArmijoParams, FeasiblePolytope, IterRecord, RgpmResult,
-                   active_set, projection_matrix, rgpm_multistart,
-                   rgpm_optimize)
+from .rgpm import (FeasiblePolytope, IterRecord, RgpmResult, active_set,
+                   projection_matrix, rgpm_multistart, rgpm_optimize)
 from .theory import (TheoryBound, b_min, delay_lower_bound,
                      doppler_lower_bound, mmlwd_layout)
 
 __all__ = [
-    "AmbiguityQuery", "AmbiguitySlice", "af_slice", "chi", "chi_angular",
-    "chi_mag_sq", "chi_oracle", "chi_r",
+    "AmbiguityQuery", "AmbiguitySlice", "af_slice", "chi", "chi_mag_sq",
+    "chi_oracle", "chi_r",
     "GaParams", "GaResult", "ga_optimize",
     "BoundGap", "DetectionCurve", "LobeReport", "bound_gap",
-    "detection_probability", "main_lobe_width", "measure_lobes",
-    "peak_sidelobe_level",
+    "detection_probability", "measure_lobes",
     "AntennaLayout", "DetectionParams", "FhCode", "RadarConfig",
     "ValidationError", "equidistant_layout", "generate_fh_code",
     "load_config", "load_fh_code", "parse_config", "random_feasible_layout",
     "save_fh_code", "validate_config", "validate_detection",
     "ObjectiveEvaluator", "ObjectiveGrid", "build_grid", "finite_diff_grad",
-    "ArmijoParams", "FeasiblePolytope", "IterRecord", "RgpmResult",
-    "active_set", "projection_matrix",
+    "FeasiblePolytope", "IterRecord", "RgpmResult", "active_set",
+    "projection_matrix",
     "rgpm_multistart", "rgpm_optimize",
     "TheoryBound", "b_min", "delay_lower_bound", "doppler_lower_bound",
     "mmlwd_layout",

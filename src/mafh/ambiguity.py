@@ -70,20 +70,15 @@ def _check_pair(layout: AntennaLayout, code: FhCode) -> None:
         )
 
 
-def kernel_matrix(tau, v, code: FhCode, cfg: RadarConfig) -> np.ndarray:
-    """Hop-pair correlation table G with shape (..., M_t, M_t).
+def _hop_terms(tau, v, code: FhCode, cfg: RadarConfig) -> np.ndarray:
+    """Subpulse-pair terms of the hop-pair sum, shape (..., M_t, M_t, Q, Q).
 
-    Entry (m, m') sums the subpulse kernel over all subpulse pairs (q, q')
-    together with the delay/Doppler phase factors that do not depend on the
-    array geometry:
+    Term (m, m', q, q') is
 
-        G[m, m'] = sum_{q, q'} chi_r(tau - (q'-q)*delta_t,
-                                     v - (c[m',q'] - c[m,q])*delta_f)
-                   * exp(j*2*pi*((c[m,q] - c[m',q'])*delta_f + v)*q*delta_t)
-                   * exp(-j*2*pi*delta_f*c[m',q']*tau)
+        chi_r(tau - (q'-q)*delta_t, v - (c[m',q'] - c[m,q])*delta_f)
+        * exp(j*2*pi*((c[m,q] - c[m',q'])*delta_f + v)*q*delta_t)
+        * exp(-j*2*pi*delta_f*c[m',q']*tau)
 
-    The full (normalized) ambiguity value is then
-    a(theta)^T G conj(a(theta_p)) / Q with steering a_m = exp(j*2*pi*x_m*sin).
     Leading axes of ``tau``/``v`` broadcast.
     """
     tau = np.asarray(tau, dtype=float)
@@ -104,8 +99,19 @@ def kernel_matrix(tau, v, code: FhCode, cfg: RadarConfig) -> np.ndarray:
     kern = chi_r(tau_b - shift * dt, v_b - (cmp_ - cm) * df, dt)
     phase = (2.0 * np.pi * ((cm - cmp_) * df + v_b) * qs[:, None] * dt
              - 2.0 * np.pi * df * cmp_ * tau_b)
-    terms = kern * np.exp(1j * phase)
-    return terms.sum(axis=(-2, -1))
+    return kern * np.exp(1j * phase)
+
+
+def kernel_matrix(tau, v, code: FhCode, cfg: RadarConfig) -> np.ndarray:
+    """Hop-pair correlation table G with shape (..., M_t, M_t).
+
+    Entry (m, m') sums the subpulse-pair terms of ``_hop_terms`` over all
+    (q, q'): the subpulse kernel together with the delay/Doppler phase
+    factors that do not depend on the array geometry.  The full (normalized)
+    ambiguity value is then a(theta)^T G conj(a(theta_p)) / Q with steering
+    a_m = exp(j*2*pi*x_m*sin).  Leading axes of ``tau``/``v`` broadcast.
+    """
+    return _hop_terms(tau, v, code, cfg).sum(axis=(-2, -1))
 
 
 def steering(theta, x: np.ndarray) -> np.ndarray:
@@ -127,28 +133,6 @@ def chi(query: AmbiguityQuery, layout: AntennaLayout, code: FhCode,
     a = steering(query.theta, x)
     b = steering(query.theta_p, x)
     return complex(a @ G @ np.conj(b)) / cfg.Q
-
-
-def chi_angular(theta, theta_p, layout: AntennaLayout,
-                cfg: RadarConfig | None = None):
-    """Zero-delay zero-Doppler angular response sum_m exp(j*2*pi*x_m*(sin(theta)-sin(theta_p))).
-
-    Valid as the exact tau=v=0 cut of ``chi`` only when delta_f*delta_t is a
-    positive integer; pass ``cfg`` to have that precondition checked.
-    Broadcasts over array angles and returns a complex scalar for scalar input.
-    """
-    if cfg is not None:
-        hp = cfg.hop_product
-        if abs(hp - round(hp)) > 1e-9 or round(hp) < 1:
-            raise ValidationError(
-                f"delta_f*delta_t: expected a positive integer for the angular "
-                f"form, got {hp}"
-            )
-    u = np.sin(np.asarray(theta, dtype=float)) - np.sin(np.asarray(theta_p, dtype=float))
-    out = np.exp(2j * np.pi * np.multiply.outer(u, layout.x)).sum(axis=-1)
-    if np.ndim(u) == 0:
-        return complex(out)
-    return out
 
 
 def chi_mag_sq(query: AmbiguityQuery, layout: AntennaLayout, code: FhCode,
@@ -286,7 +270,6 @@ def af_slice(axis: str, layout: AntennaLayout, code: FhCode, cfg: RadarConfig,
         raise ValidationError(f"theta: expected |angle| <= pi/2, got {theta}")
     if n_points < 2:
         raise ValidationError(f"n_points: expected at least 2, got {n_points}")
-    _check_pair(layout, code)
 
     defaults = {
         "angular": (-_HALF_PI, _HALF_PI, theta),
@@ -303,16 +286,7 @@ def af_slice(axis: str, layout: AntennaLayout, code: FhCode, cfg: RadarConfig,
     if lo < matched < hi and not np.isclose(coords, matched, atol=1e-15).any():
         coords = np.sort(np.append(coords, matched))
 
-    if axis == "angular":
-        # evaluate through the full kernel so the cut stays exact for any
-        # hop product, not only integer delta_f*delta_t
-        G = kernel_matrix(0.0, 0.0, code, cfg)
-        a = steering(theta, layout.x)
-        B = steering(coords, layout.x)
-        vals = np.abs(np.einsum("m,mn,pn->p", a, G, np.conj(B))) / cfg.Q
-    else:
-        vals = matched_cut(axis, coords, layout, code, cfg, theta)
-
+    vals = matched_cut(axis, coords, layout, code, cfg, theta)
     meta = {"axis": axis, "theta": theta, "M_t": layout.M_t,
             "n_points": int(coords.size)}
     return AmbiguitySlice(axis=axis, coords=coords, values=vals, meta=meta)
@@ -320,19 +294,26 @@ def af_slice(axis: str, layout: AntennaLayout, code: FhCode, cfg: RadarConfig,
 
 def matched_cut(axis: str, coords, layout: AntennaLayout, code: FhCode,
                 cfg: RadarConfig, theta: float) -> np.ndarray:
-    """|chi| at ``coords`` on the Doppler (Hz) or delay (s) axis, angles matched.
+    """|chi| at ``coords`` along one axis, the other coordinates matched.
 
-    doppler: |chi(0, v, theta, theta)|; delay: |chi(tau, 0, theta, theta)|.
-    The coordinates are used as given.
+    angular: |chi(0, 0, theta, theta_p)| over theta_p (rad);
+    doppler: |chi(0, v, theta, theta)| over v (Hz);
+    delay:   |chi(tau, 0, theta, theta)| over tau (s).
+    The coordinates are used as given.  The angular cut goes through the
+    full kernel, so it stays exact for any hop product, not only integer
+    delta_f*delta_t.
     """
     _check_pair(layout, code)
     coords = np.asarray(coords, dtype=float)
-    if axis == "doppler":
+    a = b = steering(theta, layout.x)
+    if axis == "angular":
+        G = kernel_matrix(0.0, 0.0, code, cfg)
+        b = steering(coords, layout.x)
+    elif axis == "doppler":
         G = kernel_matrix(0.0, coords, code, cfg)
     else:
         G = kernel_matrix(coords, 0.0, code, cfg)
-    a = steering(theta, layout.x)
-    return np.abs(np.einsum("pmn,m,n->p", G, a, np.conj(a))) / cfg.Q
+    return np.abs(np.einsum("...mn,m,...n->...", G, a, b.conj())) / cfg.Q
 
 
 def _db(values: np.ndarray, peak: float) -> np.ndarray:

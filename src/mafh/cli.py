@@ -234,6 +234,21 @@ def _objective_record(ev: ObjectiveEvaluator, alpha, layout: AntennaLayout) -> d
     }
 
 
+def _run_optimizer(args, poly: FeasiblePolytope, ev: ObjectiveEvaluator, alpha):
+    """(best result, per-start results) of the --method optimizer.
+
+    GA runs once, so its per-start list is None.  Either result carries the
+    final ``layout``.
+    """
+    if args.method == "rgpm":
+        return rgpm_multistart(poly, ev, alpha, n_starts=args.starts,
+                               seed=args.seed, K_max=args.kmax,
+                               T_threshold=args.threshold)
+    params = GaParams(generations=args.generations,
+                      population=args.population, seed=args.seed)
+    return ga_optimize(poly, ev, alpha, params), None
+
+
 def cmd_optimize(args) -> int:
     cfg, cfg_layout, det = _load_manifest(args)
     M_t, L = _geometry(args, cfg_layout)
@@ -245,12 +260,10 @@ def cmd_optimize(args) -> int:
     out = _out_dir(args)
     ev = ObjectiveEvaluator(grid, code, cfg)
 
+    best, runs = _run_optimizer(args, poly, ev, alpha)
+    final = best.layout
+    doc = config_to_dict(cfg, final, det)
     if args.method == "rgpm":
-        best, runs = rgpm_multistart(poly, ev, alpha, n_starts=args.starts,
-                                     seed=args.seed, K_max=args.kmax,
-                                     T_threshold=args.threshold)
-        final = best.layout
-        doc = config_to_dict(cfg, final, det)
         write_trace_csv(best, out / "trace.csv", doc, seed=args.seed)
         run_info = {
             "method": "rgpm", "starts": args.starts,
@@ -262,14 +275,9 @@ def cmd_optimize(args) -> int:
                           for i, r in enumerate(runs)],
         }
     else:
-        params = GaParams(generations=args.generations,
-                          population=args.population, seed=args.seed)
-        res = ga_optimize(poly, ev, alpha, params)
-        final = res.layout
-        doc = config_to_dict(cfg, final, det)
         write_csv(out / "trace.csv", {
-            "generation": list(range(len(res.best_trace))),
-            "f": list(res.best_trace),
+            "generation": list(range(len(best.best_trace))),
+            "f": list(best.best_trace),
         }, doc, seed=args.seed, extra={"method": "ga"})
         run_info = {"method": "ga", "generations": args.generations,
                     "population": args.population}
@@ -307,16 +315,8 @@ def cmd_tradeoff(args) -> int:
 
     rows = []
     for alpha in _simplex_weights(args.resolution):
-        if args.method == "rgpm":
-            best, _ = rgpm_multistart(poly, ev, alpha, n_starts=args.starts,
-                                      seed=args.seed, K_max=args.kmax,
-                                      T_threshold=args.threshold)
-            layout = best.layout
-        else:
-            params = GaParams(generations=args.generations,
-                              population=args.population, seed=args.seed)
-            layout = ga_optimize(poly, ev, alpha, params).layout
-        rows.append((alpha, _objective_record(ev, alpha, layout)))
+        best, _ = _run_optimizer(args, poly, ev, alpha)
+        rows.append((alpha, _objective_record(ev, alpha, best.layout)))
 
     f1s = np.array([r["f1"] for _, r in rows])
     f2s = np.array([r["f2"] for _, r in rows])
@@ -380,8 +380,8 @@ def cmd_detect(args) -> int:
         alpha = _parse_alpha(args.alpha)
         grid = build_grid(cfg, _equidistant_budget(M_t, L), theta_eval=args.theta_eval)
         poly = FeasiblePolytope.spacing_bounds(M_t, L)
-        best, _ = rgpm_multistart(poly, ObjectiveEvaluator(grid, code, cfg),
-                                  alpha, n_starts=args.starts, seed=args.seed)
+        best, _ = _run_optimizer(args, poly, ObjectiveEvaluator(grid, code, cfg),
+                                 alpha)
         layouts["optimized"] = best.layout
 
     out = _out_dir(args)

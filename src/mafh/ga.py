@@ -18,14 +18,15 @@ from .model import AntennaLayout, ValidationError
 from .objective import ObjectiveEvaluator, _check_alpha
 from .rgpm import FeasiblePolytope
 
+P_CROSS = 0.9     # crossover probability
+P_MUT = 0.2       # per-gene mutation probability
+SIGMA_MUT = 0.1   # mutation spread (wavelengths)
+
 
 @dataclass(frozen=True)
 class GaParams:
     generations: int = 100
     population: int = 16
-    p_cross: float = 0.9
-    p_mut: float = 0.2        # per-gene mutation probability
-    sigma_mut: float = 0.1    # mutation spread (wavelengths)
     seed: int = 0
 
     def __post_init__(self):
@@ -33,12 +34,6 @@ class GaParams:
             raise ValidationError(f"generations: expected >= 1, got {self.generations}")
         if self.population < 2:
             raise ValidationError(f"population: expected >= 2, got {self.population}")
-        for name in ("p_cross", "p_mut"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError(f"{name}: expected a probability, got {p}")
-        if not self.sigma_mut > 0:
-            raise ValidationError(f"sigma_mut: expected > 0, got {self.sigma_mut}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,12 +93,12 @@ def ga_optimize(poly: FeasiblePolytope, ev: ObjectiveEvaluator, alpha,
             i, j = rng.integers(0, params.population, size=2)
             p2 = pop[i] if fit[i] <= fit[j] else pop[j]
             child = p1.copy()
-            if rng.uniform() < params.p_cross:
+            if rng.uniform() < P_CROSS:
                 mix = rng.uniform(size=n)
                 child = mix * p1 + (1.0 - mix) * p2
-            mutate = rng.uniform(size=n) < params.p_mut
+            mutate = rng.uniform(size=n) < P_MUT
             if mutate.any():
-                child = child + mutate * rng.normal(0.0, params.sigma_mut, size=n)
+                child = child + mutate * rng.normal(0.0, SIGMA_MUT, size=n)
             children.append(_repair(child, L))
         pop = np.asarray(children)
         fit = np.array([ev.f_weighted(ind, alpha) for ind in pop])

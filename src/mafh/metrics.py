@@ -87,16 +87,6 @@ def measure_lobes(s: AmbiguitySlice, null_threshold: float = NULL_THRESHOLD) -> 
                       right_null=right)
 
 
-def main_lobe_width(s: AmbiguitySlice, null_threshold: float = NULL_THRESHOLD) -> float:
-    """Null-to-null main-lobe width of the slice."""
-    return measure_lobes(s, null_threshold).width
-
-
-def peak_sidelobe_level(s: AmbiguitySlice, null_threshold: float = NULL_THRESHOLD) -> float:
-    """Highest sidelobe relative to the peak, in dB (negative)."""
-    return measure_lobes(s, null_threshold).psl_db
-
-
 @dataclass(frozen=True)
 class BoundGap:
     min_gap: float

@@ -26,6 +26,12 @@ from .theory import mmlwd_layout
 # Rows within this absolute slack (wavelength units) count as active.
 ACTIVE_TOL = 1e-9
 
+# Backtracking line-search constants.
+OMEGA0 = 1.0        # first trial step
+RHO = 0.5           # backtracking ratio
+SIGMA = 1e-4        # sufficient-decrease slope fraction
+OMEGA_MIN = 1e-12   # stall threshold
+
 
 @dataclass(frozen=True, eq=False)
 class FeasiblePolytope:
@@ -117,21 +123,6 @@ def _check_projector(P: np.ndarray, M_active: np.ndarray) -> None:
         raise RuntimeError("projector does not annihilate active rows")
 
 
-@dataclass(frozen=True)
-class ArmijoParams:
-    """Backtracking line-search constants."""
-
-    omega0: float = 1.0       # first trial step
-    rho: float = 0.5          # backtracking ratio
-    sigma: float = 1e-4       # sufficient-decrease slope fraction
-    omega_min: float = 1e-12  # stall threshold
-
-    def __post_init__(self):
-        if not (self.omega0 > 0 and 0 < self.rho < 1 and 0 < self.sigma < 1
-                and 0 < self.omega_min <= self.omega0):
-            raise ValidationError(f"armijo: inconsistent parameters {self}")
-
-
 def _max_feasible_step(d: np.ndarray, direction: np.ndarray,
                        poly: FeasiblePolytope, working) -> float:
     """Largest omega with A (d - omega*direction) >= b.
@@ -151,7 +142,7 @@ def _max_feasible_step(d: np.ndarray, direction: np.ndarray,
 
 
 def _armijo(fval, f0: float, d: np.ndarray, direction: np.ndarray,
-            poly: FeasiblePolytope, params: ArmijoParams, working):
+            poly: FeasiblePolytope, working):
     """Backtrack along d - omega*direction.  Returns (omega, f_new, stalled).
 
     ``working`` lists the constraint rows ``direction`` was projected onto.
@@ -160,12 +151,12 @@ def _armijo(fval, f0: float, d: np.ndarray, direction: np.ndarray,
     if norm2 == 0.0:
         raise ValidationError("descent direction is zero")
     cap = _max_feasible_step(d, direction, poly, working)
-    omega = min(params.omega0, cap)
-    while omega >= params.omega_min:
+    omega = min(OMEGA0, cap)
+    while omega >= OMEGA_MIN:
         f_new = fval(d - omega * direction)
-        if f_new <= f0 - params.sigma * omega * norm2:
+        if f_new <= f0 - SIGMA * omega * norm2:
             return omega, f_new, False
-        omega *= params.rho
+        omega *= RHO
     return None, f0, True
 
 
@@ -192,8 +183,7 @@ class RgpmResult:
 
 def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
                   ev: ObjectiveEvaluator, alpha, K_max: int = 150,
-                  T_threshold: float = 1e-2,
-                  armijo: ArmijoParams | None = None) -> RgpmResult:
+                  T_threshold: float = 1e-2) -> RgpmResult:
     """Projected-gradient descent of ``ev.f_weighted(., alpha)`` from ``d0``.
 
     Terminates when the projected gradient norm falls below ``T_threshold``
@@ -206,7 +196,6 @@ def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
     if not T_threshold > 0:
         raise ValidationError(f"T_threshold: expected > 0, got {T_threshold}")
     alpha = _check_alpha(alpha)
-    armijo = armijo or ArmijoParams()
     d = np.asarray(d0.d, dtype=float).copy()
     if not poly.contains(d):
         raise ValidationError("d0: starting point is infeasible")
@@ -261,7 +250,7 @@ def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
             break
 
         omega, f_new, stall = _armijo(lambda y: ev.f_weighted(y, alpha), f_cur,
-                                      d, pg, poly, armijo, idx)
+                                      d, pg, poly, idx)
         if stall:
             stalled = True
             certificate = {"reason": "stalled", "grad_norm": norm,
@@ -294,8 +283,7 @@ def _worker_count() -> int:
 
 def rgpm_multistart(poly: FeasiblePolytope, ev: ObjectiveEvaluator, alpha,
                     n_starts: int = 4, seed: int = 0, K_max: int = 150,
-                    T_threshold: float = 1e-2,
-                    armijo: ArmijoParams | None = None) -> tuple[RgpmResult, list]:
+                    T_threshold: float = 1e-2) -> tuple[RgpmResult, list]:
     """Best of several descents: equidistant, width-optimal, then random starts.
 
     M_t comes from the evaluator's code and the aperture budget L from the
@@ -315,7 +303,7 @@ def rgpm_multistart(poly: FeasiblePolytope, ev: ObjectiveEvaluator, alpha,
 
     def run(s):
         return rgpm_optimize(s, poly, ev, alpha, K_max=K_max,
-                             T_threshold=T_threshold, armijo=armijo)
+                             T_threshold=T_threshold)
 
     workers = min(_worker_count(), len(starts))
     if workers > 1:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import chi_r
+from .ambiguity import _hop_terms
 from .model import AntennaLayout, FhCode, RadarConfig, ValidationError
 from .output import write_csv, write_json
 
@@ -80,88 +80,69 @@ class TheoryBound:
             object.__setattr__(self, name, arr)
 
 
-def _code_subset(code: FhCode, M_t: int, cfg: RadarConfig) -> np.ndarray:
+def _code_subset(code: FhCode, M_t: int, cfg: RadarConfig) -> FhCode:
     if code.Q != cfg.Q:
         raise ValidationError(f"c: expected {cfg.Q} code columns, got {code.Q}")
     if not 1 <= M_t <= code.M_t:
         raise ValidationError(
             f"M_t: expected 1 <= M_t <= {code.M_t} code rows, got {M_t}"
         )
-    return code.c[:M_t].astype(float)
+    return FhCode(c=code.c[:M_t])
+
+
+def _hop_bound(tau, v, code: FhCode, cfg: RadarConfig) -> np.ndarray:
+    """Floor of |chi| at a matched angle pair, valid for every layout.
+
+    With T[m, m', q, q'] the subpulse-pair terms of ``_hop_terms``, the
+    steering phases cancel on the element diagonal m = m' and have unit
+    modulus off it, so by the triangle inequality
+
+        |chi| >= max(0, |sum_{m,q,q'} T[m,m,q,q']|
+                        - sum_{m != m'} sum_{q,q'} |T[m,m',q,q']|) / Q.
+    """
+    terms = _hop_terms(tau, v, code, cfg)
+    eye = np.eye(code.M_t, dtype=bool)
+    diag = np.abs(terms[..., eye, :, :].sum(axis=(-3, -2, -1)))
+    cross = np.abs(terms[..., ~eye, :, :]).sum(axis=(-3, -2, -1))
+    return np.maximum(0.0, diag - cross) / cfg.Q
 
 
 def doppler_lower_bound(v_grid, code: FhCode, cfg: RadarConfig,
                         M_t: int) -> TheoryBound:
     """Layout-independent floor of |chi(0, v, theta, theta)|.
 
-    The element-diagonal part of the hop-pair sum is the whole-pulse Doppler
-    response M_t * sinc(v * T_w) (exact for any code); the cross terms are
-    bounded in magnitude by
+    At tau = 0 only the subpulse pairs q = q' overlap.  The element-diagonal
+    part of the hop-pair sum is the whole-pulse Doppler response
+    M_t * sinc(v * T_w) (exact for any code); the cross terms are bounded in
+    magnitude by
 
         Xi(v) = (1/Q) * sum_{m != m'} sum_q |sinc(v*delta_t
                        - (c[m,q] - c[m',q]) * delta_f * delta_t)|
 
-    giving bound(v) = max(0, M_t*|sinc(v*T_w)| - Xi(v)).
+    giving bound(v) = max(0, M_t*|sinc(v*T_w)| - Xi(v)).  Only the first
+    M_t code rows are used.
     """
-    c = _code_subset(code, M_t, cfg)
     v = np.asarray(v_grid, dtype=float)
-    dt = cfg.delta_t
-    main = M_t * np.abs(np.sinc(v * cfg.T_w))
-
-    diffs = c[:, None, :] - c[None, :, :]           # c[m,q] - c[m',q]
-    off = ~np.eye(M_t, dtype=bool)
-    diffs = diffs[off]                              # (M_t*(M_t-1), Q)
-    args = v[:, None, None] * dt - diffs[None, :, :] * cfg.hop_product
-    xi = np.abs(np.sinc(args)).sum(axis=(1, 2)) / cfg.Q
-
-    meta = {"axis": "doppler", "M_t": M_t}
-    return TheoryBound(axis="doppler", coords=v,
-                       lower=np.maximum(0.0, main - xi), meta=meta)
+    lower = _hop_bound(0.0, v, _code_subset(code, M_t, cfg), cfg)
+    return TheoryBound(axis="doppler", coords=v, lower=lower,
+                       meta={"axis": "doppler", "M_t": M_t})
 
 
 def delay_lower_bound(tau_grid, code: FhCode, cfg: RadarConfig,
                       M_t: int) -> TheoryBound:
     """Layout-independent floor of |chi(tau, 0, theta, theta)|.
 
-    The element-diagonal sum
-
-        Y(tau) = (1/Q) * sum_m sum_{q,q'} chi_r(tau - (q'-q)*delta_t,
-                                                (c[m,q] - c[m,q'])*delta_f)
-                 * exp(j*2*pi*delta_f*(c[m,q] - c[m,q'])*q*delta_t)
-                 * exp(-j*2*pi*delta_f*c[m,q']*tau)
-
-    is exact for any code (the subpulse-offset phase factor is unity when
-    delta_f*delta_t is an integer); the cross terms are bounded by
-
-        Xi(tau) = (1/Q) * sum_{m != m'} sum_{q,q'}
-                  |chi_r(tau - (q'-q)*delta_t, (c[m,q] - c[m',q'])*delta_f)|
-
-    giving bound(tau) = max(0, |Y(tau)| - Xi(tau)).
+    The element-diagonal sum Y(tau) of the hop-pair terms at v = 0 is
+    evaluated exactly for any code (its subpulse-offset phase factor is
+    unity when delta_f*delta_t is an integer); the cross terms are bounded
+    by the sum Xi(tau) of their moduli over m != m' and all (q, q'), giving
+    bound(tau) = max(0, |Y(tau)| - Xi(tau)), both divided by Q.  Only the
+    first M_t code rows are used.
     """
-    c = _code_subset(code, M_t, cfg)
     tau = np.asarray(tau_grid, dtype=float)
-    dt, df = cfg.delta_t, cfg.delta_f
-    Q = cfg.Q
-    qs = np.arange(Q, dtype=float)
-    shift = qs[None, :] - qs[:, None]               # q' - q
-
-    # diagonal part m = m'
-    cd = c[:, :, None] - c[:, None, :]              # c[m,q] - c[m,q']
-    kern = chi_r(tau[:, None, None, None] - shift * dt, cd * df, dt)
-    phase = np.exp(1j * (2.0 * np.pi * df * cd * qs[:, None] * dt
-                         - 2.0 * np.pi * df * c[:, None, :] * tau[:, None, None, None]))
-    y = np.abs((kern * phase).sum(axis=(1, 2, 3))) / Q
-
-    # cross-pair magnitude sum m != m'
-    cd_x = c[:, None, :, None] - c[None, :, None, :]   # c[m,q] - c[m',q']
-    off = ~np.eye(M_t, dtype=bool)
-    kern_x = chi_r(tau[:, None, None, None] - shift * dt,
-                   cd_x[off][None, ...] * df, dt)
-    xi = np.abs(kern_x).sum(axis=(1, 2, 3)) / Q
-
-    meta = {"axis": "delay", "M_t": M_t}
-    return TheoryBound(axis="delay", coords=tau,
-                       lower=np.maximum(0.0, y - xi), meta=meta)
+    lower = _hop_bound(tau, 0.0, _code_subset(code, M_t, cfg), cfg)
+    return TheoryBound(axis="delay", coords=tau, lower=lower,
+                       meta={"axis": "delay", "M_t": M_t})
 
 
 def write_bound_csv(bound: TheoryBound, path, doc: dict, seed=None,

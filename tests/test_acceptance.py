@@ -45,7 +45,6 @@ from mafh import (
     bound_gap,
     build_grid,
     chi,
-    chi_angular,
     chi_oracle,
     delay_lower_bound,
     detection_probability,
@@ -58,6 +57,7 @@ from mafh import (
     rgpm_multistart,
     rgpm_optimize,
 )
+from mafh.ambiguity import matched_cut
 
 CORNERS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
@@ -133,15 +133,15 @@ def test_criterion_02_width_formula_matches_measurement(cfg):
             if ok else f"mismatches: {bad}")
 
 
-def test_criterion_03_width_optimal_layout_is_lower_envelope(cfg):
+def test_criterion_03_width_optimal_layout_is_lower_envelope(cfg, code8):
     mold = mmlwd_layout(8, 9.0)
     offsets = np.linspace(-0.5 * b_min(8, 9.0, 0.0),
                           0.5 * b_min(8, 9.0, 0.0), 41)
-    ref = np.abs(chi_angular(0.0, offsets, mold, cfg))
+    ref = matched_cut("angular", offsets, mold, code8, cfg, 0.0)
     worst = np.inf
     for i in range(100):
         lay = random_feasible_layout(8, 9.0, seed=i)
-        vals = np.abs(chi_angular(0.0, offsets, lay, cfg))
+        vals = matched_cut("angular", offsets, lay, code8, cfg, 0.0)
         worst = min(worst, float((vals - ref).min()))
     ok = worst >= -1e-9
     _report(3, ok, f"min margin over 100 random layouts x 41 in-lobe "

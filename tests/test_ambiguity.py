@@ -13,14 +13,13 @@ from mafh import (
     ValidationError,
     af_slice,
     chi,
-    chi_angular,
     chi_mag_sq,
     chi_oracle,
     chi_r,
     generate_fh_code,
     random_feasible_layout,
 )
-from mafh.ambiguity import write_slice_csv
+from mafh.ambiguity import matched_cut, write_slice_csv
 
 
 def _subpulse_oracle(tau, v, delta_t, n=40001):
@@ -65,27 +64,19 @@ def test_chi_zero_outside_delay_support(cfg, code8, equid8):
     assert chi_oracle(q, equid8, code8, cfg) == 0j
 
 
-def test_chi_angular_equidistant_closed_form(cfg, code8, equid8):
+def test_angular_cut_equidistant_closed_form(cfg, code8, equid8):
     """At tau=v=0 and orthogonal hops the cut is the bare array factor.
 
     For half-wavelength spacings that is the Dirichlet kernel
     |sin(M*pi*s/2) / sin(pi*s/2)| with s = sin(theta_p).
     """
     theta_p = np.linspace(-1.4, 1.4, 23)
-    got = np.abs(chi_angular(0.0, theta_p, equid8, cfg))
+    got = matched_cut("angular", theta_p, equid8, code8, cfg, 0.0)
     s = np.sin(theta_p)
     with np.errstate(invalid="ignore", divide="ignore"):
         want = np.abs(np.sin(8 * np.pi * s / 2) / np.sin(np.pi * s / 2))
     want = np.where(np.isclose(s, 0.0), 8.0, want)
     assert_allclose(got, want, rtol=0, atol=1e-10)
-
-
-def test_chi_angular_agrees_with_chi(cfg, code8):
-    lay = random_feasible_layout(8, 7.0, seed=2)
-    for th, thp in [(0.0, 0.3), (np.pi / 3, -0.5), (-1.0, 1.0)]:
-        a = chi_angular(th, thp, lay, cfg)
-        b = chi(AmbiguityQuery(theta=th, theta_p=thp), lay, code8, cfg)
-        assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 def test_chi_mag_sq_consistency(cfg, code8):
@@ -152,12 +143,16 @@ def test_af_slice_defaults_and_peak(cfg, code8, equid8):
 
 def test_af_slice_matches_pointwise_chi(cfg, code8):
     lay = random_feasible_layout(8, 7.0, seed=4)
-    s = af_slice("delay", lay, code8, cfg, theta=np.pi / 3, n_points=41)
-    for i in (0, 7, 20, 33):
-        q = AmbiguityQuery(tau=s.coords[i], v=0.0, theta=np.pi / 3,
-                           theta_p=np.pi / 3)
-        assert_allclose(s.values[i], abs(chi(q, lay, code8, cfg)),
-                        rtol=0, atol=1e-12)
+    th = np.pi / 3
+    for axis in ("angular", "doppler", "delay"):
+        s = af_slice(axis, lay, code8, cfg, theta=th, n_points=41)
+        for i in (0, 7, 20, 33):
+            c = float(s.coords[i])
+            q = AmbiguityQuery(tau=c if axis == "delay" else 0.0,
+                               v=c if axis == "doppler" else 0.0,
+                               theta=th, theta_p=c if axis == "angular" else th)
+            assert_allclose(s.values[i], abs(chi(q, lay, code8, cfg)),
+                            rtol=0, atol=1e-12, err_msg=axis)
 
 
 def test_af_slice_angular_range(cfg, code8, equid8):

@@ -260,6 +260,20 @@ def test_detect_smoke_and_matched_tie(tmp_path):
     assert np.all(np.diff(data[:, 1]) >= 0)
 
 
+def test_detect_optimizes_with_the_optimizer_flags(tmp_path):
+    """The optimized detect layout is the one ``optimize`` finds with the same flags."""
+    flags = ["--mt", "3", "--budget", "2", "--method", "ga",
+             "--generations", "3", "--population", "4"]
+    assert main(["optimize", *flags, "--out-dir", str(tmp_path)]) == 0
+    assert main(["detect", *flags, "--pfa", "1e-2", "--trials", "2000",
+                 "--snr=-6:0:6",
+                 "--layouts", f"optimized,file:{tmp_path / 'layout.json'}",
+                 "--out-dir", str(tmp_path)]) == 0
+    # the config hash in each header covers the layout spacings
+    assert ((tmp_path / "detect_optimized.csv").read_bytes()
+            == (tmp_path / "detect_layout.csv").read_bytes())
+
+
 def test_detect_checks_every_layout_before_writing(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["detect", "--layouts", f"equidistant,file:{_layout4(tmp_path)}",

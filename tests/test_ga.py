@@ -33,9 +33,6 @@ def test_params_defaults():
     p = GaParams()
     assert p.generations == 100
     assert p.population == 16
-    assert p.p_cross == 0.9
-    assert p.p_mut == 0.2
-    assert p.sigma_mut == 0.1
     assert p.seed == 0
 
 
@@ -44,9 +41,6 @@ def test_params_defaults():
     [
         (dict(generations=0), "generations"),
         (dict(population=1), "population"),
-        (dict(p_cross=1.5), "p_cross"),
-        (dict(p_mut=-0.1), "p_mut"),
-        (dict(sigma_mut=0.0), "sigma_mut"),
     ],
 )
 def test_params_validation(kwargs, field):

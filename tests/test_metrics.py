@@ -14,10 +14,8 @@ from mafh import (
     detection_probability,
     doppler_lower_bound,
     generate_fh_code,
-    main_lobe_width,
     measure_lobes,
     mmlwd_layout,
-    peak_sidelobe_level,
 )
 from mafh.metrics import write_detection_csv
 from mafh.theory import TheoryBound
@@ -55,13 +53,6 @@ def test_lobes_minimum_width_layout(cfg, code8):
     assert r.psl_db > -3.0
 
 
-def test_lobe_wrappers_agree(cfg, code8, equid8):
-    s = af_slice("angular", equid8, code8, cfg, n_points=801)
-    r = measure_lobes(s)
-    assert main_lobe_width(s) == r.width
-    assert peak_sidelobe_level(s) == r.psl_db
-
-
 def test_lobes_short_slice_rejected():
     with pytest.raises(ValidationError, match="too short"):
         measure_lobes(_slice([0, 1, 2, 3], [1, 2, 1, 0.1]))
@@ -84,8 +75,8 @@ def test_lobes_single_element_has_no_nulls(cfg):
 def test_lobes_null_threshold_argument(cfg, code8, equid8):
     s = af_slice("angular", equid8, code8, cfg, n_points=2001)
     # a permissive threshold accepts the same first nulls
-    assert main_lobe_width(s, null_threshold=0.2) == pytest.approx(
-        main_lobe_width(s), rel=1e-12)
+    assert measure_lobes(s, null_threshold=0.2).width == pytest.approx(
+        measure_lobes(s).width, rel=1e-12)
 
 
 def test_bound_gap_counts_violations():

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from mafh import (
     AntennaLayout,
-    ArmijoParams,
     FeasiblePolytope,
     ObjectiveEvaluator,
     RadarConfig,
@@ -90,20 +89,11 @@ def test_projection_matrix_rejects_dependent_rows():
         projection_matrix(rows)
 
 
-def test_armijo_params_validation():
-    p = ArmijoParams()
-    assert (p.omega0, p.rho, p.sigma, p.omega_min) == (1.0, 0.5, 1e-4, 1e-12)
-    with pytest.raises(ValidationError):
-        ArmijoParams(rho=1.5)
-    with pytest.raises(ValidationError):
-        ArmijoParams(omega_min=2.0, omega0=1.0)
-
-
 def _line_search(ev, d, descent_dir, poly):
     """Armijo search for f_weighted along ``-descent_dir`` from ``d``, no working set."""
     def f(y):
         return ev.f_weighted(y, F1)
-    return _armijo(f, f(d), d, descent_dir, poly, ArmijoParams(), [])
+    return _armijo(f, f(d), d, descent_dir, poly, [])
 
 
 def test_armijo_step_respects_feasibility_cap(small):

@@ -17,6 +17,7 @@ from mafh import (
     mmlwd_layout,
     random_feasible_layout,
 )
+from mafh.ambiguity import matched_cut
 from mafh.theory import write_bound_csv
 
 
@@ -80,23 +81,21 @@ def test_mmlwd_width_matches_formula(cfg):
     assert abs(width - b_min(8, 7.0, 0.0)) <= 2 * step
 
 
-def test_null_at_half_width_broadside(cfg):
+def test_null_at_half_width_broadside(cfg, code8):
     """At theta=0 the first nulls sit exactly at +/- b_min/2."""
-    from mafh import chi_angular
     lay = mmlwd_layout(8, 7.0)
     half = b_min(8, 7.0, 0.0) / 2
-    assert abs(chi_angular(0.0, half, lay, cfg)) < 1e-6 * 8
-    assert abs(chi_angular(0.0, -half, lay, cfg)) < 1e-6 * 8
+    vals = matched_cut("angular", [half, -half], lay, code8, cfg, 0.0)
+    assert np.all(vals < 1e-6 * 8)
 
 
-def test_null_positions_off_broadside(cfg):
+def test_null_positions_off_broadside(cfg, code8):
     """Off broadside the nulls are symmetric in sin-space, not angle-space."""
-    from mafh import chi_angular
     lay = mmlwd_layout(8, 7.0)
     th = math.pi / 6
     u = 2.0 / (4 * 7.0 - 8 + 2)
-    for null in (math.asin(math.sin(th) - u), math.asin(math.sin(th) + u)):
-        assert abs(chi_angular(th, null, lay, cfg)) < 1e-6 * 8
+    nulls = [math.asin(math.sin(th) - u), math.asin(math.sin(th) + u)]
+    assert np.all(matched_cut("angular", nulls, lay, code8, cfg, th) < 1e-6 * 8)
 
 
 def test_doppler_bound_matched_point(cfg, code8):
@@ -108,6 +107,23 @@ def test_doppler_bound_zero_at_subpulse_line(cfg, code8):
     # v = 1/delta_t: whole-pulse sinc vanishes, clamp keeps the bound at 0
     b = doppler_lower_bound(np.array([1.0 / cfg.delta_t]), code8, cfg, 8)
     assert b.lower[0] == 0.0
+
+
+def test_doppler_bound_matches_closed_form(cfg, code8):
+    """The bound equals max(0, M_t*|sinc(v*T_w)| - Xi(v)) written out directly."""
+    v = np.linspace(-cfg.f_max, cfg.f_max, 481)
+    for code in (code8, generate_fh_code(cfg, 4, seed=0)):
+        M_t, c = code.M_t, code.c.astype(float)
+        xi = np.zeros_like(v)
+        for m in range(M_t):
+            for mp in range(M_t):
+                if m != mp:
+                    xi += np.abs(np.sinc(v[:, None] * cfg.delta_t
+                                         - (c[m] - c[mp]) * cfg.hop_product)
+                                 ).sum(axis=1)
+        want = np.maximum(0.0, M_t * np.abs(np.sinc(v * cfg.T_w)) - xi / cfg.Q)
+        got = doppler_lower_bound(v, code, cfg, M_t).lower
+        assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"M_t={M_t}")
 
 
 def test_doppler_bound_below_random_layouts(cfg, code8):
