@@ -53,14 +53,17 @@ def chi_r(tau, v, delta_t):
     * sinc(v * (delta_t - |tau|)) for |tau| < delta_t and 0 outside.
     Broadcasts over array ``tau`` / ``v``.
     """
+    amp, angle = _chi_r_polar(tau, v, delta_t)
+    return amp * np.exp(1j * angle)
+
+
+def _chi_r_polar(tau, v, delta_t):
+    """Real amplitude (0 outside |tau| < delta_t) and phase angle of chi_r."""
     tau = np.asarray(tau, dtype=float)
     v = np.asarray(v, dtype=float)
     abs_tau = np.abs(tau)
-    inside = abs_tau < delta_t
-    overlap = np.where(inside, delta_t - abs_tau, 0.0)
-    amp = (overlap / delta_t) * np.sinc(v * overlap)
-    phase = np.exp(1j * np.pi * v * (delta_t - tau))
-    return np.where(inside, amp * phase, 0.0 + 0.0j)
+    overlap = np.where(abs_tau < delta_t, delta_t - abs_tau, 0.0)
+    return (overlap / delta_t) * np.sinc(v * overlap), np.pi * v * (delta_t - tau)
 
 
 def _check_pair(layout: AntennaLayout, code: FhCode) -> None:
@@ -70,8 +73,8 @@ def _check_pair(layout: AntennaLayout, code: FhCode) -> None:
         )
 
 
-def _hop_terms(tau, v, code: FhCode, cfg: RadarConfig) -> np.ndarray:
-    """Subpulse-pair terms of the hop-pair sum, shape (..., M_t, M_t, Q, Q).
+def _shift_terms(tau, v, code: FhCode, cfg: RadarConfig):
+    """Subpulse-pair terms of the hop-pair sum, grouped by shift s = q' - q.
 
     Term (m, m', q, q') is
 
@@ -79,39 +82,44 @@ def _hop_terms(tau, v, code: FhCode, cfg: RadarConfig) -> np.ndarray:
         * exp(j*2*pi*((c[m,q] - c[m',q'])*delta_f + v)*q*delta_t)
         * exp(-j*2*pi*delta_f*c[m',q']*tau)
 
-    Leading axes of ``tau``/``v`` broadcast.
+    and is zero unless |tau - s*delta_t| < delta_t, the support of chi_r.
+    For each shift with such samples this yields ``(inside, T)``: the mask
+    of those samples over the broadcast of ``tau``/``v``, and their terms
+    for the valid q, shape (inside.sum(), M_t, M_t, Q - |s|).
     """
-    tau = np.asarray(tau, dtype=float)
-    v = np.asarray(v, dtype=float)
-    shape = np.broadcast_shapes(tau.shape, v.shape)
-    tau_b = np.broadcast_to(tau, shape)[..., None, None, None, None]
-    v_b = np.broadcast_to(v, shape)[..., None, None, None, None]
-
+    tau, v = (np.asarray(a, dtype=float) for a in np.broadcast_arrays(tau, v))
     c = code.c.astype(float)
-    Q = code.Q
     dt, df = cfg.delta_t, cfg.delta_f
-    qs = np.arange(Q, dtype=float)
-
-    cm = c[:, None, :, None]    # c[m, q]   on axes (m, m', q, q')
-    cmp_ = c[None, :, None, :]  # c[m', q']
-    shift = qs[None, :] - qs[:, None]  # q' - q
-
-    kern = chi_r(tau_b - shift * dt, v_b - (cmp_ - cm) * df, dt)
-    phase = (2.0 * np.pi * ((cm - cmp_) * df + v_b) * qs[:, None] * dt
-             - 2.0 * np.pi * df * cmp_ * tau_b)
-    return kern * np.exp(1j * phase)
+    for s in range(1 - code.Q, code.Q):
+        inside = np.abs(tau - s * dt) < dt
+        if not inside.any():
+            continue
+        q = np.arange(max(0, -s), min(code.Q, code.Q - s))
+        cm = c[:, None, q]          # c[m, q]    on axes (m, m', q)
+        cmp_ = c[None, :, q + s]    # c[m', q']
+        tau_k = tau[inside][:, None, None, None]
+        v_k = v[inside][:, None, None, None]
+        amp, angle = _chi_r_polar(tau_k - s * dt, v_k - (cmp_ - cm) * df, dt)
+        angle = angle + (2.0 * np.pi * ((cm - cmp_) * df + v_k) * q * dt
+                         - 2.0 * np.pi * df * cmp_ * tau_k)
+        yield inside, amp * np.exp(1j * angle)
 
 
 def kernel_matrix(tau, v, code: FhCode, cfg: RadarConfig) -> np.ndarray:
     """Hop-pair correlation table G with shape (..., M_t, M_t).
 
-    Entry (m, m') sums the subpulse-pair terms of ``_hop_terms`` over all
-    (q, q'): the subpulse kernel together with the delay/Doppler phase
-    factors that do not depend on the array geometry.  The full (normalized)
-    ambiguity value is then a(theta)^T G conj(a(theta_p)) / Q with steering
-    a_m = exp(j*2*pi*x_m*sin).  Leading axes of ``tau``/``v`` broadcast.
+    Entry (m, m') sums the subpulse-pair terms of ``_shift_terms`` (the
+    subpulse kernel with the geometry-free delay/Doppler phase factors) over
+    the overlapping pairs (q, q'), the only nonzero ones.  The full
+    (normalized) ambiguity value is then a(theta)^T G conj(a(theta_p)) / Q
+    with steering a_m = exp(j*2*pi*x_m*sin).  Leading axes of ``tau``/``v``
+    broadcast.
     """
-    return _hop_terms(tau, v, code, cfg).sum(axis=(-2, -1))
+    shape = np.broadcast_shapes(np.shape(tau), np.shape(v))
+    G = np.zeros(shape + (code.M_t, code.M_t), dtype=complex)
+    for inside, terms in _shift_terms(tau, v, code, cfg):
+        G[inside] += terms.sum(axis=-1)
+    return G
 
 
 def steering(theta, x: np.ndarray) -> np.ndarray:
@@ -283,7 +291,7 @@ def af_slice(axis: str, layout: AntennaLayout, code: FhCode, cfg: RadarConfig,
         raise ValidationError(f"range: expected hi > lo, got [{lo}, {hi}]")
 
     coords = np.linspace(lo, hi, n_points)
-    if lo < matched < hi and not np.isclose(coords, matched, atol=1e-15).any():
+    if lo < matched < hi and not np.isclose(coords, matched, rtol=0.0, atol=1e-15).any():
         coords = np.sort(np.append(coords, matched))
 
     vals = matched_cut(axis, coords, layout, code, cfg, theta)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import _hop_terms
+from .ambiguity import _shift_terms
 from .model import AntennaLayout, FhCode, RadarConfig, ValidationError
 from .output import write_csv, write_json
 
@@ -93,18 +93,20 @@ def _code_subset(code: FhCode, M_t: int, cfg: RadarConfig) -> FhCode:
 def _hop_bound(tau, v, code: FhCode, cfg: RadarConfig) -> np.ndarray:
     """Floor of |chi| at a matched angle pair, valid for every layout.
 
-    With T[m, m', q, q'] the subpulse-pair terms of ``_hop_terms``, the
-    steering phases cancel on the element diagonal m = m' and have unit
-    modulus off it, so by the triangle inequality
+    With T the subpulse-pair terms of ``_shift_terms`` (the overlapping
+    pairs; all others are zero), the steering phases cancel on the element
+    diagonal m = m' and have unit modulus off it, so by the triangle inequality
 
         |chi| >= max(0, |sum_{m,q,q'} T[m,m,q,q']|
                         - sum_{m != m'} sum_{q,q'} |T[m,m',q,q']|) / Q.
     """
-    terms = _hop_terms(tau, v, code, cfg)
+    shape = np.broadcast_shapes(np.shape(tau), np.shape(v))
+    diag, cross = np.zeros(shape, dtype=complex), np.zeros(shape)
     eye = np.eye(code.M_t, dtype=bool)
-    diag = np.abs(terms[..., eye, :, :].sum(axis=(-3, -2, -1)))
-    cross = np.abs(terms[..., ~eye, :, :]).sum(axis=(-3, -2, -1))
-    return np.maximum(0.0, diag - cross) / cfg.Q
+    for inside, terms in _shift_terms(tau, v, code, cfg):
+        diag[inside] += terms[:, eye].sum(axis=(-2, -1))
+        cross[inside] += np.abs(terms[:, ~eye]).sum(axis=(-2, -1))
+    return np.maximum(0.0, np.abs(diag) - cross) / cfg.Q
 
 
 def doppler_lower_bound(v_grid, code: FhCode, cfg: RadarConfig,
@@ -135,9 +137,9 @@ def delay_lower_bound(tau_grid, code: FhCode, cfg: RadarConfig,
     The element-diagonal sum Y(tau) of the hop-pair terms at v = 0 is
     evaluated exactly for any code (its subpulse-offset phase factor is
     unity when delta_f*delta_t is an integer); the cross terms are bounded
-    by the sum Xi(tau) of their moduli over m != m' and all (q, q'), giving
-    bound(tau) = max(0, |Y(tau)| - Xi(tau)), both divided by Q.  Only the
-    first M_t code rows are used.
+    by the sum Xi(tau) of their moduli over m != m' and the overlapping
+    (q, q'), giving bound(tau) = max(0, |Y(tau)| - Xi(tau)), both divided
+    by Q.  Only the first M_t code rows are used.
     """
     tau = np.asarray(tau_grid, dtype=float)
     lower = _hop_bound(tau, 0.0, _code_subset(code, M_t, cfg), cfg)

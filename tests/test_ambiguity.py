@@ -16,10 +16,13 @@ from mafh import (
     chi_mag_sq,
     chi_oracle,
     chi_r,
+    delay_lower_bound,
+    doppler_lower_bound,
     generate_fh_code,
+    mmlwd_layout,
     random_feasible_layout,
 )
-from mafh.ambiguity import matched_cut, write_slice_csv
+from mafh.ambiguity import kernel_matrix, matched_cut, write_slice_csv
 
 
 def _subpulse_oracle(tau, v, delta_t, n=40001):
@@ -141,6 +144,16 @@ def test_af_slice_defaults_and_peak(cfg, code8, equid8):
     assert s2.meta["n_points"] == 501
 
 
+def test_af_slice_inserts_matched_coordinate_near_grid_point(cfg, code8):
+    # a grid point 4e-6 rad from theta lies within a relative 1e-5 of it but
+    # is not theta, so theta must still be inserted and the peak read exactly
+    th = 0.5
+    s = af_slice("angular", mmlwd_layout(8, 7.0), code8, cfg, theta=th,
+                 lo=th + 4e-6 - 0.1, hi=th + 4e-6 + 0.1, n_points=101)
+    assert np.any(s.coords == th)
+    assert s.values.max() == pytest.approx(8.0, rel=0, abs=1e-12)
+
+
 def test_af_slice_matches_pointwise_chi(cfg, code8):
     lay = random_feasible_layout(8, 7.0, seed=4)
     th = np.pi / 3
@@ -186,3 +199,101 @@ def test_write_slice_csv_deterministic(tmp_path, cfg, code8, equid8):
     body = [ln for ln in lines if not ln.startswith("#")]
     assert body[0] == "coord,magnitude,magnitude_db"
     assert len(body) == 1 + s.coords.size
+
+
+def _configs():
+    cfg = RadarConfig()
+    frac = RadarConfig(delta_f=0.75e6)  # delta_f*delta_t = 0.75
+    for c in (cfg, frac):
+        for M_t in (8, 4):
+            yield c, generate_fh_code(c, M_t, seed=0)
+
+
+def _dense_terms(tau, v, code, cfg):
+    """All Q^2 subpulse-pair terms, shape (..., M_t, M_t, Q, Q), zeros included."""
+    tau = np.asarray(tau, dtype=float)[..., None, None, None, None]
+    v = np.asarray(v, dtype=float)[..., None, None, None, None]
+    c = code.c.astype(float)
+    qs = np.arange(code.Q, dtype=float)
+    dt, df = cfg.delta_t, cfg.delta_f
+    cm, cmp_ = c[:, None, :, None], c[None, :, None, :]
+    kern = chi_r(tau - (qs[None, :] - qs[:, None]) * dt,
+                 v - (cmp_ - cm) * df, dt)
+    phase = (2.0 * np.pi * ((cm - cmp_) * df + v) * qs[:, None] * dt
+             - 2.0 * np.pi * df * cmp_ * tau)
+    return kern * np.exp(1j * phase)
+
+
+def test_overlap_edges_match_table_free_reference():
+    """|chi|^2 through the kernel table equals chi_mag_sq where pairs start
+    or stop overlapping, the table vanishes outside the delay support, and
+    both bounds stay below |chi| there."""
+    for cfg, code in _configs():
+        M_t, dt = code.M_t, cfg.delta_t
+        lay = random_feasible_layout(M_t, 7.0, seed=1)
+        th = np.pi / 3
+        edges = np.array([s * dt + e for s in range(1 - cfg.Q, cfg.Q)
+                          for e in (-dt, 0.0, dt)])
+        taus = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                               np.nextafter(edges, np.inf)])
+        vs = np.array([0.0, np.nextafter(0.0, 1.0), 0.3 / dt, -2.7 / dt])
+        for v in vs:
+            mags = []
+            for tau in taus:
+                q = AmbiguityQuery(tau=tau, v=v, theta=th, theta_p=th)
+                mag_sq = chi_mag_sq(q, lay, code, cfg)
+                assert abs(abs(chi(q, lay, code, cfg)) ** 2 - mag_sq) \
+                    <= 1e-9 * M_t ** 2, (M_t, cfg.hop_product, tau, v)
+                mags.append(np.sqrt(mag_sq))
+            if v == 0.0:
+                bound = delay_lower_bound(taus, code, cfg, M_t).lower
+                assert np.all(bound <= np.array(mags) + 1e-12)
+        at_zero = [abs(chi(AmbiguityQuery(v=v, theta=th, theta_p=th),
+                           lay, code, cfg)) for v in vs]
+        assert np.all(doppler_lower_bound(vs, code, cfg, M_t).lower
+                      <= np.array(at_zero) + 1e-12)
+
+        edge = cfg.Q * dt
+        outside = np.array([edge, np.nextafter(edge, np.inf), 1.5 * edge])
+        outside = np.concatenate([outside, -outside])
+        G = kernel_matrix(outside[:, None], vs, code, cfg)
+        assert np.all(G == 0.0), (M_t, cfg.hop_product)
+
+
+def test_kernel_matrix_broadcast_shapes(cfg, code8):
+    dt = cfg.delta_t
+    assert kernel_matrix(0.0, 0.0, code8, cfg).shape == (8, 8)
+    taus = np.array([0.0, 0.4 * dt, -1.7 * dt, 2.0 * dt, 5.5 * dt])[:, None]
+    vs = np.array([0.0, 0.25 / dt, -3.1 / dt])
+    G = kernel_matrix(taus, vs, code8, cfg)
+    assert G.shape == (5, 3, 8, 8)
+    for i in range(5):
+        for k in range(3):
+            assert_allclose(G[i, k], kernel_matrix(taus[i, 0], vs[k], code8, cfg),
+                            rtol=0, atol=1e-14)
+
+
+def test_cuts_and_bounds_match_dense_all_pairs_reference():
+    for cfg, code in _configs():
+        M_t = code.M_t
+        lay = random_feasible_layout(M_t, 7.0, seed=2)
+        a = np.exp(2j * np.pi * lay.x * np.sin(0.4))
+        eye = np.eye(M_t, dtype=bool)
+        v = np.linspace(-cfg.f_max, cfg.f_max, 481)
+        tau = np.linspace(-cfg.T_w, cfg.T_w, 481)
+        for axis, t_arg, v_arg, bound in (
+                ("doppler", 0.0, v, doppler_lower_bound(v, code, cfg, M_t)),
+                ("delay", tau, 0.0, delay_lower_bound(tau, code, cfg, M_t))):
+            T = _dense_terms(np.broadcast_to(t_arg, (481,)),
+                             np.broadcast_to(v_arg, (481,)), code, cfg)
+            G = T.sum(axis=(-2, -1))
+            cut = np.abs(np.einsum("...mn,m,n->...", G, a, a.conj())) / cfg.Q
+            diag = np.abs(T[:, eye].sum(axis=(-3, -2, -1)))
+            cross = np.abs(T[:, ~eye]).sum(axis=(-3, -2, -1))
+            floor = np.maximum(0.0, diag - cross) / cfg.Q
+            msg = f"{axis}, M_t={M_t}, hop product {cfg.hop_product}"
+            assert_allclose(kernel_matrix(t_arg, v_arg, code, cfg), G,
+                            rtol=0, atol=1e-12, err_msg=msg)
+            assert_allclose(matched_cut(axis, bound.coords, lay, code, cfg, 0.4),
+                            cut, rtol=0, atol=1e-12, err_msg=msg)
+            assert_allclose(bound.lower, floor, rtol=0, atol=1e-12, err_msg=msg)
