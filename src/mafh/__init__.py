@@ -19,8 +19,8 @@ from .model import (AntennaLayout, DetectionParams, FhCode, RadarConfig,
 from .objective import (ObjectiveEvaluator, ObjectiveGrid, build_grid,
                         finite_diff_grad)
 from .output import __version__
-from .rgpm import (FeasiblePolytope, IterRecord, RgpmResult, active_set,
-                   projection_matrix, rgpm_multistart, rgpm_optimize)
+from .rgpm import (FeasiblePolytope, IterRecord, RgpmResult, rgpm_multistart,
+                   rgpm_optimize)
 from .theory import (TheoryBound, b_min, delay_lower_bound,
                      doppler_lower_bound, mmlwd_layout)
 
@@ -35,9 +35,8 @@ __all__ = [
     "load_config", "load_fh_code", "parse_config", "random_feasible_layout",
     "save_fh_code", "validate_config", "validate_detection",
     "ObjectiveEvaluator", "ObjectiveGrid", "build_grid", "finite_diff_grad",
-    "FeasiblePolytope", "IterRecord", "RgpmResult", "active_set",
-    "projection_matrix",
-    "rgpm_multistart", "rgpm_optimize",
+    "FeasiblePolytope", "IterRecord", "RgpmResult", "rgpm_multistart",
+    "rgpm_optimize",
     "TheoryBound", "b_min", "delay_lower_bound", "doppler_lower_bound",
     "mmlwd_layout",
     "__version__",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AntennaLayout, ValidationError
+from .model import AntennaLayout, ValidationError, random_feasible_layout
 from .objective import ObjectiveEvaluator, _check_alpha
 from .rgpm import FeasiblePolytope
 
@@ -55,28 +55,16 @@ def _repair(d: np.ndarray, L: float) -> np.ndarray:
     return d
 
 
-def _random_population(rng, n_genes: int, L: float, size: int) -> np.ndarray:
-    slack = L - 0.5 * n_genes
-    pop = np.empty((size, n_genes))
-    for i in range(size):
-        z = np.sort(rng.uniform(0.0, 1.0, size=n_genes))
-        pop[i] = 0.5 + slack * np.diff(np.concatenate(([0.0], z)))
-    return pop
-
-
 def ga_optimize(poly: FeasiblePolytope, ev: ObjectiveEvaluator, alpha,
                 params: GaParams | None = None) -> GaResult:
     """Minimize ``ev.f_weighted`` at weights ``alpha``; deterministic in the seed."""
     alpha = _check_alpha(alpha)
     params = params or GaParams()
-    n = poly.A.shape[1]
-    L = -float(poly.b[-1])
-    if L < 0.5 * n - 1e-9:
-        raise ValidationError(f"L: aperture {L} infeasible for {n} spacings")
-
+    n, L = poly.n, poly.L
     rng = np.random.default_rng(params.seed)
 
-    pop = _random_population(rng, n, L, params.population)
+    pop = np.array([random_feasible_layout(n + 1, L, rng).d
+                    for _ in range(params.population)])
     fit = np.array([ev.f_weighted(ind, alpha) for ind in pop])
     trace = [float(fit.min())]
 

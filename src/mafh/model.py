@@ -29,7 +29,7 @@ class RadarConfig:
     """Waveform and sampling constants of the frequency-hopping transmitter."""
 
     f_c: float = 8.2e9       # carrier frequency (Hz)
-    bandwidth: float = 8e6   # occupied bandwidth K*delta_f (Hz)
+    bandwidth: float = None  # occupied bandwidth K*delta_f (Hz); derived when omitted
     delta_f: float = 1e6     # hop frequency step (Hz)
     delta_t: float = 1e-6    # subpulse duration (s)
     Q: int = 6               # subpulses per pulse
@@ -40,6 +40,8 @@ class RadarConfig:
     T_w: float = None        # pulse duration Q*delta_t (s); derived when omitted
 
     def __post_init__(self):
+        if self.bandwidth is None:
+            object.__setattr__(self, "bandwidth", float(self.K * self.delta_f))
         if self.T_w is None:
             object.__setattr__(self, "T_w", self.Q * self.delta_t)
 
@@ -71,6 +73,10 @@ def validate_config(cfg: RadarConfig) -> RadarConfig:
         raise ValidationError(f"delta_t: expected delta_t > 0, got {cfg.delta_t}")
     if not cfg.delta_f > 0:
         raise ValidationError(f"delta_f: expected delta_f > 0, got {cfg.delta_f}")
+    if not _close(cfg.bandwidth, cfg.K * cfg.delta_f):
+        raise ValidationError(
+            f"bandwidth: expected K*delta_f = {cfg.K * cfg.delta_f}, got {cfg.bandwidth}"
+        )
     if not _close(cfg.T_w, cfg.Q * cfg.delta_t):
         raise ValidationError(
             f"T_w: expected T_w = Q*delta_t = {cfg.Q * cfg.delta_t}, got {cfg.T_w}"
@@ -214,12 +220,14 @@ def equidistant_layout(M_t: int) -> AntennaLayout:
     return AntennaLayout(d=d, L=0.5 * (M_t - 1))
 
 
-def random_feasible_layout(M_t: int, L: float, seed: int) -> AntennaLayout:
+def random_feasible_layout(M_t: int, L: float,
+                           seed: int | np.random.Generator) -> AntennaLayout:
     """Uniform random draw from {d >= 1/2 componentwise, sum(d) <= L}.
 
     The slack above the half-wavelength floor is distributed via sorted-uniform
     spacings, which samples the constraint simplex uniformly.  Deterministic in
-    ``seed``.
+    ``seed``; a Generator passed as ``seed`` is used as is, so the draw
+    continues its stream (M_t - 1 uniforms per call).
     """
     if M_t < 2:
         raise ValidationError(f"M_t: expected M_t >= 2, got {M_t}")

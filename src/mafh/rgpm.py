@@ -1,12 +1,15 @@
 """Rosen-style gradient projection over the spacing polytope.
 
-Feasible set: d_i >= lambda/2 (one row per spacing) and sum(d) <= L, written
-as A d >= b with A = [I; -1^T].  Each iteration projects the gradient onto
-the null space of the active rows; when the projected gradient vanishes, the
-constraint multipliers decide between KKT termination and dropping the row
-with the most negative multiplier.  Step length comes from a backtracking
-Armijo search whose first trial is capped at the largest feasible step, so
-every iterate stays inside the polytope.
+Feasible set: d_i >= lambda/2 (rows i < n) and sum(d) <= L (row n).  Each
+iteration projects the gradient onto the null space of the working rows,
+which for this polytope has a closed form: P g is zero on the spacings whose
+floor is in the working set, and with the budget row in the set the mean mu
+of g over the free spacings is subtracted from them.  The multipliers are
+g_i - mu for a floor row and -mu for the budget row (mu = 0 without it).
+When the projected gradient vanishes, they decide between KKT termination
+and dropping the row with the most negative multiplier.  Step length comes
+from a backtracking Armijo search whose first trial is capped at the largest
+feasible step, so every iterate stays inside the polytope.
 """
 
 from __future__ import annotations
@@ -33,106 +36,81 @@ SIGMA = 1e-4        # sufficient-decrease slope fraction
 OMEGA_MIN = 1e-12   # stall threshold
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FeasiblePolytope:
-    """Linear feasibility system A d >= b for the spacing vector."""
+    """n spacings with d_i >= lambda/2 and the aperture budget sum(d) <= L."""
 
-    A: np.ndarray
-    b: np.ndarray
+    n: int
+    L: float
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if A.ndim != 2 or b.shape != (A.shape[0],):
-            raise ValidationError("polytope: A must be (m, n) with matching b")
-        A.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
+        if self.n < 1:
+            raise ValidationError(f"M_t: expected M_t >= 2, got {self.n + 1}")
+        if self.L < 0.5 * self.n - ACTIVE_TOL:
+            raise ValidationError(
+                f"L: aperture {self.L} cannot fit {self.n} spacings of at least lambda/2"
+            )
+        object.__setattr__(self, "L", float(self.L))
 
     @classmethod
     def spacing_bounds(cls, M_t: int, L: float) -> "FeasiblePolytope":
-        """Half-wavelength floors plus the aperture budget row."""
-        if M_t < 2:
-            raise ValidationError(f"M_t: expected M_t >= 2, got {M_t}")
-        n = M_t - 1
-        if L < 0.5 * n - ACTIVE_TOL:
-            raise ValidationError(
-                f"L: aperture {L} cannot fit {n} spacings of at least lambda/2"
-            )
-        A = np.vstack([np.eye(n), -np.ones((1, n))])
-        b = np.concatenate([np.full(n, 0.5), [-L]])
-        return cls(A=A, b=b)
+        """Half-wavelength floors plus the aperture budget of an M_t-element array."""
+        return cls(n=M_t - 1, L=L)
 
     def slacks(self, d: np.ndarray) -> np.ndarray:
-        return self.A @ d - self.b
+        """Floor slacks d_i - 1/2 (rows i < n), then the budget slack L - sum(d)."""
+        d = np.asarray(d, dtype=float)
+        if d.shape != (self.n,):
+            raise ValidationError(f"d: expected {self.n} spacings, got shape {d.shape}")
+        return np.append(d - 0.5, self.L - d.sum())
 
-    def contains(self, d: np.ndarray, tol: float = ACTIVE_TOL) -> bool:
-        return bool(np.all(self.slacks(np.asarray(d, float)) >= -tol))
+    def contains(self, d: np.ndarray) -> bool:
+        return bool(np.all(self.slacks(d) >= -ACTIVE_TOL))
 
 
-def active_set(d, poly: FeasiblePolytope, tol: float = ACTIVE_TOL) -> np.ndarray:
-    """Matrix of rows satisfied with equality (|A_i d - b_i| <= tol).
+def _active_indices(d: np.ndarray, poly: FeasiblePolytope) -> np.ndarray:
+    """Rows satisfied with equality (|slack| <= ACTIVE_TOL), in row order.
 
     Raises if the point is infeasible beyond the tolerance.
     """
-    idx = _active_indices(np.asarray(d, dtype=float), poly, tol)
-    return poly.A[idx]
-
-
-def _active_indices(d: np.ndarray, poly: FeasiblePolytope, tol: float) -> np.ndarray:
     s = poly.slacks(d)
-    if np.any(s < -tol):
+    if np.any(s < -ACTIVE_TOL):
         worst = int(np.argmin(s))
         raise ValidationError(
             f"d: infeasible point, constraint row {worst} violated by {-s[worst]:.3g}"
         )
-    return np.flatnonzero(np.abs(s) <= tol)
+    return np.flatnonzero(np.abs(s) <= ACTIVE_TOL)
 
 
-def projection_matrix(M_active: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the null space of the active rows.
+def _project(g: np.ndarray, working) -> tuple[np.ndarray, np.ndarray]:
+    """(P g, multipliers) for the working rows, multipliers in ``working`` order.
 
-    Returns the identity for an empty active set; raises when the active rows
-    are linearly dependent (projection undefined).
+    Raises when every floor and the budget are in the working set: those
+    n + 1 rows are linearly dependent and the projection is undefined.
     """
-    M_active = np.asarray(M_active, dtype=float)
-    n = M_active.shape[1]
-    if M_active.shape[0] == 0:
-        return np.eye(n)
-    MMT = M_active @ M_active.T
-    try:
-        sol = np.linalg.solve(MMT, M_active)
-    except np.linalg.LinAlgError:
-        raise ValidationError("active constraint rows are linearly dependent") from None
-    P = np.eye(n) - M_active.T @ sol
-    P = 0.5 * (P + P.T)
-    if np.abs(M_active @ P).max() > 1e-8:
+    n = g.size
+    fixed = [i for i in working if i < n]
+    budget = n in working
+    if budget and len(fixed) == n:
         raise ValidationError("active constraint rows are linearly dependent")
-    return P
-
-
-def _check_projector(P: np.ndarray, M_active: np.ndarray) -> None:
-    # invariant guard, evaluated every iteration: symmetric, idempotent,
-    # annihilates the active rows
-    if np.abs(P - P.T).max() > 1e-10:
-        raise RuntimeError("projector lost symmetry")
-    if np.abs(P @ P - P).max() > 1e-10:
-        raise RuntimeError("projector lost idempotence")
-    if M_active.size and np.abs(M_active @ P).max() > 1e-10:
-        raise RuntimeError("projector does not annihilate active rows")
+    free = np.ones(n, dtype=bool)
+    free[fixed] = False
+    mu = float(g[free].mean()) if budget else 0.0
+    pg = np.where(free, g - mu, 0.0)
+    u = np.array([g[i] - mu if i < n else -mu for i in working])
+    return pg, u
 
 
 def _max_feasible_step(d: np.ndarray, direction: np.ndarray,
                        poly: FeasiblePolytope, working) -> float:
-    """Largest omega with A (d - omega*direction) >= b.
+    """Largest omega that keeps d - omega*direction inside the polytope.
 
     Rows of the working set are not blocking: ``direction`` lies in their
-    null space, and the roundoff left in A_i . direction would otherwise cap
-    the step at their zero slack.
+    null space, and the roundoff left in ``along`` (the rate each slack
+    shrinks at) would otherwise cap the step at their zero slack.
     """
     slack = np.maximum(poly.slacks(d), 0.0)
-    along = poly.A @ direction
+    along = np.append(direction, -direction.sum())
     scale = max(1.0, float(np.abs(direction).max()))
     blocking = along > 1e-15 * scale
     blocking[list(working)] = False
@@ -200,7 +178,6 @@ def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
     if not poly.contains(d):
         raise ValidationError("d0: starting point is infeasible")
 
-    n = d.size
     f_cur = ev.f_weighted(d, alpha)
     trace = [IterRecord(k=0, f=f_cur, grad_norm=np.nan, active_count=0, omega=np.nan)]
     converged = False
@@ -208,23 +185,20 @@ def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
     certificate = {"reason": "max-iterations", "threshold": T_threshold}
 
     # single-point polytope: nothing to optimize
-    if poly.b[:n].sum() >= -poly.b[n:].sum() - ACTIVE_TOL:
+    if 0.5 * poly.n >= poly.L - ACTIVE_TOL:
         certificate = {"reason": "degenerate", "threshold": T_threshold,
                        "grad_norm": 0.0, "min_multiplier": None,
-                       "active_count": n + 1}
-        layout = AntennaLayout(d=np.maximum(d, 0.5), L=d0.L)
+                       "active_count": poly.n + 1}
+        layout = AntennaLayout(d=np.maximum(d, 0.5), L=poly.L)
         return RgpmResult(layout=layout, trace=tuple(trace), converged=True,
                           stalled=False, certificate=certificate, f_final=f_cur)
 
     for k in range(1, K_max + 1):
         g = ev.grad_f_weighted(d, alpha)
-        idx = list(_active_indices(d, poly, ACTIVE_TOL))
+        idx = list(_active_indices(d, poly))
         min_u = None
         while True:
-            Mk = poly.A[idx]
-            P = projection_matrix(Mk)
-            _check_projector(P, Mk)
-            pg = P @ g
+            pg, u = _project(g, idx)
             norm = float(np.linalg.norm(pg))
             if norm >= T_threshold:
                 break
@@ -234,7 +208,6 @@ def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
                                "min_multiplier": None, "active_count": 0,
                                "threshold": T_threshold}
                 break
-            u = np.linalg.solve(Mk @ Mk.T, Mk @ g)
             min_u = float(u.min())
             if min_u >= 0.0:
                 converged = True
@@ -264,7 +237,7 @@ def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
         trace.append(IterRecord(k=k, f=f_cur, grad_norm=norm,
                                 active_count=len(idx), omega=omega))
 
-    layout = AntennaLayout(d=np.maximum(d, 0.5), L=d0.L)
+    layout = AntennaLayout(d=np.maximum(d, 0.5), L=poly.L)
     return RgpmResult(layout=layout, trace=tuple(trace), converged=converged,
                       stalled=stalled, certificate=certificate, f_final=f_cur)
 
@@ -287,15 +260,15 @@ def rgpm_multistart(poly: FeasiblePolytope, ev: ObjectiveEvaluator, alpha,
     """Best of several descents: equidistant, width-optimal, then random starts.
 
     M_t comes from the evaluator's code and the aperture budget L from the
-    polytope's budget row.  Returns (best result, all results).  Ties resolve
-    to the earliest start; runs are independent and share ``ev``, whose
-    tables are read-only, so threading (capped by MAFH_THREADS) does not
-    affect the outcome.
+    polytope.  Returns (best result, all results).  Ties resolve to the
+    earliest start; runs are independent and share ``ev``, whose tables are
+    read-only, so threading (capped by MAFH_THREADS) does not affect the
+    outcome.
     """
     if n_starts < 1:
         raise ValidationError(f"n_starts: expected at least 1, got {n_starts}")
     alpha = _check_alpha(alpha)
-    M_t, L = ev.M, -float(poly.b[-1])
+    M_t, L = ev.M, poly.L
     starts = [AntennaLayout(d=equidistant_layout(M_t).d, L=L), mmlwd_layout(M_t, L)]
     for i in range(max(0, n_starts - 2)):
         starts.append(random_feasible_layout(M_t, L, seed + 1 + i))

@@ -105,14 +105,6 @@ def test_ga_tiny_run(small):
     assert np.isfinite(res.f_final)
 
 
-def test_ga_infeasible_budget(small):
-    ev, _ = small
-    bad = FeasiblePolytope(A=np.vstack([np.eye(1), -np.ones((1, 1))]),
-                           b=np.array([0.5, -0.4]))   # budget below the floor
-    with pytest.raises(ValidationError, match="^L:"):
-        ga_optimize(bad, ev, F1)
-
-
 def test_ga_rejects_bad_alpha(small):
     ev, poly = small
     with pytest.raises(ValidationError, match="^alpha:"):

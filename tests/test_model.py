@@ -62,6 +62,7 @@ def test_validate_config_accepts_default(cfg):
     ("K", 0, "K"),
     ("delta_t", -1e-6, "delta_t"),
     ("delta_f", 0.0, "delta_f"),
+    ("bandwidth", 4e6, "bandwidth"),
     ("T_w", 5e-6, "T_w"),
     ("f_c", 0.0, "f_c"),
     ("f_s", 1e6, "f_s"),

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -8,16 +10,14 @@ from mafh import (
     ObjectiveEvaluator,
     RadarConfig,
     ValidationError,
-    active_set,
     build_grid,
     generate_fh_code,
     mmlwd_layout,
-    projection_matrix,
     random_feasible_layout,
     rgpm_multistart,
     rgpm_optimize,
 )
-from mafh.rgpm import _armijo, write_trace_csv
+from mafh.rgpm import _active_indices, _armijo, _project, write_trace_csv
 
 F1 = (1.0, 0.0, 0.0)   # angular objective only
 
@@ -33,12 +33,30 @@ def small():
     return ObjectiveEvaluator(grid, code, cfg), poly
 
 
+def _reference_projection(g, working):
+    """Generic Rosen projection of ``g`` onto the null space of the working rows.
+
+    The spacing polytope written as A d >= b with A = [I; -1^T]: the
+    projector I - M^T (M M^T)^-1 M of the working rows M, and least-squares
+    multipliers u solving M^T u = g.
+    """
+    if not working:
+        return g.copy(), np.zeros(0)
+    n = g.size
+    M = np.vstack([np.eye(n), -np.ones((1, n))])[list(working)]
+    P = np.eye(n) - M.T @ np.linalg.solve(M @ M.T, M)
+    return P @ g, np.linalg.lstsq(M.T, g, rcond=None)[0]
+
+
+def _projector(working, n):
+    """Matrix of the projection, one column per unit vector."""
+    return np.column_stack([_project(e, working)[0] for e in np.eye(n)])
+
+
 def test_polytope_structure():
     poly = FeasiblePolytope.spacing_bounds(8, 7.0)
-    assert poly.A.shape == (8, 7)
-    assert_array_equal(poly.A[:7], np.eye(7))
-    assert_array_equal(poly.A[7], -np.ones(7))
-    assert_allclose(poly.b, [0.5] * 7 + [-7.0])
+    assert (poly.n, poly.L) == (7, 7.0)
+    assert_allclose(poly.slacks(np.full(7, 0.75)), [0.25] * 7 + [1.75])
     assert poly.contains(np.full(7, 0.5))
     assert poly.contains(np.full(7, 1.0))
     assert not poly.contains(np.full(7, 1.1))   # sum exceeds the budget
@@ -50,43 +68,63 @@ def test_polytope_validation():
         FeasiblePolytope.spacing_bounds(1, 5.0)
     with pytest.raises(ValidationError, match="^L:"):
         FeasiblePolytope.spacing_bounds(8, 3.0)
-    with pytest.raises(ValidationError, match="polytope"):
-        FeasiblePolytope(A=np.eye(3), b=np.zeros(2))
+    with pytest.raises(ValidationError, match="^L:"):
+        FeasiblePolytope(n=1, L=0.4)   # budget below the floor
 
 
-def test_active_set_selection(poly8):
+def test_polytope_rejects_wrong_length(poly8):
+    for d in (np.full(6, 0.5), np.full(8, 0.5), np.full((7, 1), 0.5)):
+        with pytest.raises(ValidationError, match="^d:"):
+            poly8.slacks(d)
+        with pytest.raises(ValidationError, match="^d:"):
+            poly8.contains(d)
+
+
+def test_active_indices_selection(poly8):
     # all seven floors bind at the half-wavelength start
-    rows = active_set(np.full(7, 0.5), poly8)
-    assert rows.shape == (7, 7)
+    assert_array_equal(_active_indices(np.full(7, 0.5), poly8), np.arange(7))
     # interior point: nothing binds
-    assert active_set(np.full(7, 0.9), poly8).shape == (0, 7)
+    assert _active_indices(np.full(7, 0.9), poly8).size == 0
     # width-optimal layout: six floors plus the budget row
-    rows = active_set(mmlwd_layout(8, 7.0).d, poly8)
-    assert rows.shape == (7, 7)
-    assert np.any(np.all(rows == -1.0, axis=1))
+    idx = _active_indices(mmlwd_layout(8, 7.0).d, poly8)
+    assert idx.size == 7 and idx[-1] == 7
 
 
-def test_active_set_rejects_infeasible(poly8):
+def test_active_indices_rejects_infeasible(poly8):
     with pytest.raises(ValidationError, match="infeasible"):
-        active_set(np.full(7, 0.4), poly8)
+        _active_indices(np.full(7, 0.4), poly8)
 
 
-def test_projection_matrix_algebra():
+def test_project_matches_generic_projector():
+    n = 4
+    g = np.random.default_rng(0).normal(size=n)
+    rows = range(n + 1)
+    for k in range(n + 1):   # every working set but the full one
+        for working in itertools.combinations(rows, k):
+            pg, u = _project(g, list(working))
+            pg_ref, u_ref = _reference_projection(g, working)
+            assert_allclose(pg, pg_ref, rtol=0, atol=1e-12, err_msg=str(working))
+            assert_allclose(u, u_ref, rtol=0, atol=1e-12, err_msg=str(working))
+    with pytest.raises(ValidationError, match="dependent"):
+        _project(g, list(rows))
+
+
+def test_project_algebra():
     n = 5
-    assert_array_equal(projection_matrix(np.zeros((0, n))), np.eye(n))
+    assert_array_equal(_projector([], n), np.eye(n))
+    working = [0, n]   # the first floor and the budget row
     rows = np.zeros((2, n))
     rows[0, 0] = 1.0
     rows[1] = -1.0
-    P = projection_matrix(rows)
+    P = _projector(working, n)
     assert_allclose(P, P.T, atol=1e-12)
     assert_allclose(P @ P, P, atol=1e-12)
     assert_allclose(rows @ P, np.zeros((2, n)), atol=1e-12)
 
 
-def test_projection_matrix_rejects_dependent_rows():
-    rows = np.array([[1.0, 0.0], [1.0, 0.0]])
+def test_project_rejects_dependent_rows():
     with pytest.raises(ValidationError, match="dependent"):
-        projection_matrix(rows)
+        _project(np.ones(1), [0, 1])
 
 
 def _line_search(ev, d, descent_dir, poly):
@@ -175,6 +213,15 @@ def test_rgpm_degenerate_polytope(cfg):
     res = rgpm_optimize(lay, poly, ObjectiveEvaluator(grid, code, cfg), F1)
     assert res.converged and res.certificate["reason"] == "degenerate"
     assert_allclose(res.layout.d, [0.5, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("start_budget", [4.2, 20.0])
+def test_rgpm_layout_carries_polytope_budget(ev8, poly8, start_budget):
+    # the start's own budget plays no part: the result lives in the polytope
+    d0 = AntennaLayout(d=np.full(7, 0.6), L=start_budget)
+    res = rgpm_optimize(d0, poly8, ev8, F1)
+    assert res.layout.L == poly8.L
+    assert poly8.contains(res.layout.d)
 
 
 def test_rgpm_iteration_cap(small):
