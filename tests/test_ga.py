@@ -105,6 +105,12 @@ def test_ga_tiny_run(small):
     assert np.isfinite(res.f_final)
 
 
+def test_ga_infeasible_budget(small):
+    ev, _ = small
+    with pytest.raises(ValidationError, match="^L:"):
+        ga_optimize(FeasiblePolytope(n=1, L=0.4), ev, F1)   # budget below the floor
+
+
 def test_ga_rejects_bad_alpha(small):
     ev, poly = small
     with pytest.raises(ValidationError, match="^alpha:"):
