@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AntennaLayout, FhCode, RadarConfig, ValidationError
-from .output import write_csv, write_json
 
 _HALF_PI = 0.5 * np.pi
 _ANGLE_TOL = 1e-12
@@ -251,7 +250,6 @@ class AmbiguitySlice:
     axis: str             # "angular" (rad) | "doppler" (Hz) | "delay" (s)
     coords: np.ndarray
     values: np.ndarray
-    meta: dict
 
     def __post_init__(self):
         for name in ("coords", "values"):
@@ -295,9 +293,7 @@ def af_slice(axis: str, layout: AntennaLayout, code: FhCode, cfg: RadarConfig,
         coords = np.sort(np.append(coords, matched))
 
     vals = matched_cut(axis, coords, layout, code, cfg, theta)
-    meta = {"axis": axis, "theta": theta, "M_t": layout.M_t,
-            "n_points": int(coords.size)}
-    return AmbiguitySlice(axis=axis, coords=coords, values=vals, meta=meta)
+    return AmbiguitySlice(axis=axis, coords=coords, values=vals)
 
 
 def matched_cut(axis: str, coords, layout: AntennaLayout, code: FhCode,
@@ -322,27 +318,3 @@ def matched_cut(axis: str, coords, layout: AntennaLayout, code: FhCode,
     else:
         G = kernel_matrix(coords, 0.0, code, cfg)
     return np.abs(np.einsum("...mn,m,...n->...", G, a, b.conj())) / cfg.Q
-
-
-def _db(values: np.ndarray, peak: float) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return 20.0 * np.log10(values / peak)
-
-
-def write_slice_csv(s: AmbiguitySlice, path, doc: dict, seed=None) -> None:
-    """CSV columns: coord, magnitude, magnitude_db (dB w.r.t. matched peak M_t)."""
-    peak = float(s.meta.get("M_t", max(s.values.max(), 1.0)))
-    write_csv(path, {
-        "coord": s.coords,
-        "magnitude": s.values,
-        "magnitude_db": _db(s.values, peak),
-    }, doc, seed, extra={"axis": s.axis, "theta": s.meta.get("theta", 0.0)})
-
-
-def write_slice_json(s: AmbiguitySlice, path, doc: dict, seed=None) -> None:
-    write_json(path, {
-        "axis": s.axis,
-        "theta": s.meta.get("theta", 0.0),
-        "coord": [float(v) for v in s.coords],
-        "magnitude": [float(v) for v in s.values],
-    }, doc, seed)

@@ -2,9 +2,10 @@
 
 Every subcommand reads an optional JSON config (flat keys, see model.parse_config),
 applies --set key=value overrides, and writes CSV/JSON files with a
-reproducibility header into --out-dir.  Exit code 0 means results were emitted
-(optimizer stalls are reported inside the summary, not via the exit code);
-validation and usage problems exit nonzero before any file is written.
+reproducibility header into --out-dir; the analysis modules only return data.
+Exit code 0 means results were emitted (optimizer stalls are reported inside
+the summary, not via the exit code); validation and usage problems exit
+nonzero before any file is written.
 """
 
 from __future__ import annotations
@@ -19,18 +20,16 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from .ambiguity import (_check_pair, af_slice, matched_cut, write_slice_csv,
-                        write_slice_json)
+from .ambiguity import _check_pair, af_slice, matched_cut
 from .ga import GaParams, ga_optimize
-from .metrics import detection_probability, write_detection_csv
+from .metrics import detection_probability
 from .model import (AntennaLayout, FhCode, ValidationError, config_to_dict,
                     generate_fh_code, load_fh_code, parse_config,
                     random_feasible_layout, validate_detection)
 from .objective import ObjectiveEvaluator, _check_alpha, build_grid
 from .output import write_csv, write_json
-from .rgpm import FeasiblePolytope, rgpm_multistart, write_trace_csv
-from .theory import (b_min, delay_lower_bound, doppler_lower_bound,
-                     mmlwd_layout, write_bound_csv, write_bound_json)
+from .rgpm import FeasiblePolytope, rgpm_multistart
+from .theory import b_min, delay_lower_bound, doppler_lower_bound, mmlwd_layout
 
 THETA_EVAL_DEFAULT = math.pi / 3   # fast single-angle mode for f2/f3
 
@@ -126,6 +125,12 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _db(values, peak: float) -> np.ndarray:
+    """|chi| in dB relative to the matched peak (-inf at exact zeros)."""
+    with np.errstate(divide="ignore"):
+        return 20.0 * np.log10(values / peak)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -139,9 +144,16 @@ def cmd_af(args) -> int:
                  lo=args.lo, hi=args.hi, n_points=args.points)
     doc = config_to_dict(cfg, layout, det)
     out = _out_dir(args)
-    write_slice_csv(s, out / f"af_{args.axis}.csv", doc, seed=args.seed)
-    write_slice_json(s, out / f"af_{args.axis}.json", doc, seed=args.seed)
-    print(f"af: wrote {out / f'af_{args.axis}.csv'}")
+    path = out / f"af_{args.axis}.csv"
+    write_csv(path, {"coord": s.coords, "magnitude": s.values,
+                     "magnitude_db": _db(s.values, layout.M_t)},
+              doc, seed=args.seed, extra={"axis": args.axis, "theta": args.theta})
+    write_json(out / f"af_{args.axis}.json", {
+        "axis": args.axis, "theta": args.theta,
+        "coord": [float(v) for v in s.coords],
+        "magnitude": [float(v) for v in s.values],
+    }, doc, seed=args.seed)
+    print(f"af: wrote {path}")
     return 0
 
 
@@ -198,6 +210,8 @@ def cmd_theory(args) -> int:
         return 0
 
     # --bound mode
+    if args.points < 2:
+        raise ValidationError(f"points: expected at least 2, got {args.points}")
     code = _code_for(args, cfg, M_t)
     if args.bound == "doppler":
         vmax = args.vmax if args.vmax is not None else cfg.f_max
@@ -208,16 +222,20 @@ def cmd_theory(args) -> int:
         coords = np.linspace(-tmax, tmax, args.points)
         bound = delay_lower_bound(coords, code, cfg, M_t)
 
-    overlay = None
+    cols = {"coord": coords, "bound": bound.lower}
     if args.layout is not None:
         layout = _resolve_layout(args.layout, M_t, L, cfg_layout, args.seed)
         overlay = matched_cut(args.bound, coords, layout, code, cfg, args.theta)
+        cols.update(magnitude=overlay, magnitude_db=_db(overlay, M_t))
         doc = config_to_dict(cfg, layout, det)
 
     path = out / f"theory_bound_{args.bound}.csv"
-    write_bound_csv(bound, path, doc, seed=args.seed, slice_values=overlay)
-    write_bound_json(bound, out / f"theory_bound_{args.bound}.json", doc,
-                     seed=args.seed)
+    write_csv(path, cols, doc, seed=args.seed, extra={"axis": args.bound})
+    write_json(out / f"theory_bound_{args.bound}.json", {
+        "axis": args.bound,
+        "coord": [float(v) for v in coords],
+        "bound": [float(v) for v in bound.lower],
+    }, doc, seed=args.seed)
     print(f"theory: wrote {path}")
     return 0
 
@@ -264,7 +282,12 @@ def cmd_optimize(args) -> int:
     final = best.layout
     doc = config_to_dict(cfg, final, det)
     if args.method == "rgpm":
-        write_trace_csv(best, out / "trace.csv", doc, seed=args.seed)
+        write_csv(out / "trace.csv", {
+            name: [getattr(r, name) for r in best.trace]
+            for name in ("k", "f", "grad_norm", "active_count", "omega")
+        }, doc, seed=args.seed, extra={"converged": best.converged,
+                                      "stalled": best.stalled,
+                                      "reason": best.certificate["reason"]})
         run_info = {
             "method": "rgpm", "starts": args.starts,
             "converged": best.converged, "stalled": best.stalled,
@@ -371,6 +394,10 @@ def cmd_detect(args) -> int:
     names = [n.strip() for n in args.layouts.split(",") if n.strip()]
     if not names:
         raise ValidationError("--layouts: expected a comma-separated list")
+    labels = [_layout_label(n) for n in names]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValidationError(f"--layouts: label {label!r} appears more than once")
     # resolve and pair-check every layout before any detection or write
     layouts = {name: _resolve_layout(name, M_t, L, cfg_layout, args.seed)
                for name in names if name != "optimized"}
@@ -386,12 +413,16 @@ def cmd_detect(args) -> int:
 
     out = _out_dir(args)
     curves = {}
-    for name in names:
-        label = _layout_label(name)
+    for name, label in zip(names, labels):
         curve = detection_probability(layouts[name], code, cfg, det, seed=args.seed)
         doc = config_to_dict(cfg, layouts[name], det)
-        write_detection_csv(curve, out / f"detect_{label}.csv", doc,
-                            seed=args.seed)
+        write_csv(out / f"detect_{label}.csv", {
+            "snr_db": curve.snr_db, "p_d": curve.p_d,
+            "ci_low": curve.ci_low, "ci_high": curve.ci_high,
+        }, doc, seed=args.seed, extra={
+            "threshold": curve.threshold, "pfa_target": curve.pfa_target,
+            "pfa_measured": curve.pfa_measured, "trials": curve.trials,
+        })
         curves[label] = curve
 
     first = curves[next(iter(curves))]

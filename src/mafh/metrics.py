@@ -17,7 +17,6 @@ import numpy as np
 from .ambiguity import AmbiguityQuery, AmbiguitySlice, chi
 from .model import (AntennaLayout, DetectionParams, FhCode, RadarConfig,
                     ValidationError, validate_detection)
-from .output import write_csv
 from .theory import TheoryBound
 
 NULL_THRESHOLD = 0.05  # local minima below this fraction of the peak are nulls
@@ -186,18 +185,3 @@ def detection_probability(layout: AntennaLayout, code: FhCode, cfg: RadarConfig,
                           ci_low=tuple(ci_low), ci_high=tuple(ci_high),
                           threshold=threshold, pfa_target=det.P_fa,
                           pfa_measured=pfa_measured, trials=det.trials)
-
-
-def write_detection_csv(curve: DetectionCurve, path, doc: dict, seed=None) -> None:
-    """CSV columns: snr_db, p_d, ci_low, ci_high."""
-    write_csv(path, {
-        "snr_db": curve.snr_db,
-        "p_d": curve.p_d,
-        "ci_low": curve.ci_low,
-        "ci_high": curve.ci_high,
-    }, doc, seed, extra={
-        "threshold": curve.threshold,
-        "pfa_target": curve.pfa_target,
-        "pfa_measured": curve.pfa_measured,
-        "trials": curve.trials,
-    })

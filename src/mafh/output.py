@@ -1,4 +1,4 @@
-"""Deterministic CSV/JSON writers shared by the analysis and CLI layers.
+"""Deterministic CSV/JSON writers; ``mafh.cli`` is their only user.
 
 Every file starts with ``# key=value`` metadata lines (config hash, seed,
 normalization flag, tool version) so that results are traceable to the run

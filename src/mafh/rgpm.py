@@ -23,7 +23,6 @@ import numpy as np
 from .model import AntennaLayout, ValidationError
 from .model import equidistant_layout, random_feasible_layout
 from .objective import ObjectiveEvaluator, _check_alpha
-from .output import write_csv
 from .theory import mmlwd_layout
 
 # Rows within this absolute slack (wavelength units) count as active.
@@ -286,17 +285,3 @@ def rgpm_multistart(poly: FeasiblePolytope, ev: ObjectiveEvaluator, alpha,
         results = [run(s) for s in starts]
     best = min(range(len(results)), key=lambda i: (results[i].f_final, i))
     return results[best], results
-
-
-def write_trace_csv(result: RgpmResult, path, doc: dict, seed=None) -> None:
-    """CSV columns: k, f, grad_norm, active_count, omega."""
-    rows = result.trace
-    write_csv(path, {
-        "k": [r.k for r in rows],
-        "f": [r.f for r in rows],
-        "grad_norm": [r.grad_norm for r in rows],
-        "active_count": [r.active_count for r in rows],
-        "omega": [r.omega for r in rows],
-    }, doc, seed, extra={"converged": result.converged,
-                         "stalled": result.stalled,
-                         "reason": result.certificate.get("reason", "")})

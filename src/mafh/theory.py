@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import _shift_terms
+from .ambiguity import _ANGLE_TOL, _HALF_PI, _shift_terms
 from .model import AntennaLayout, FhCode, RadarConfig, ValidationError
-from .output import write_csv, write_json
 
 
 def mmlwd_layout(M_t: int, L: float) -> AntennaLayout:
@@ -49,6 +48,8 @@ def b_min(M_t: int, L: float, theta: float) -> float:
     arcsin(sin(theta) + u) - arcsin(sin(theta) - u) with
     u = 2 / (4*L - M_t + 2)  (L in wavelengths).
     """
+    if abs(theta) > _HALF_PI + _ANGLE_TOL:
+        raise ValidationError(f"theta: expected |angle| <= pi/2, got {theta}")
     if M_t < 2:
         raise ValidationError(f"M_t: expected M_t >= 2, got {M_t}")
     denom = 4.0 * L - M_t + 2.0
@@ -71,7 +72,6 @@ class TheoryBound:
     axis: str            # "doppler" (Hz) | "delay" (s)
     coords: np.ndarray
     lower: np.ndarray    # same normalization as chi: matched value M_t
-    meta: dict
 
     def __post_init__(self):
         for name in ("coords", "lower"):
@@ -126,8 +126,7 @@ def doppler_lower_bound(v_grid, code: FhCode, cfg: RadarConfig,
     """
     v = np.asarray(v_grid, dtype=float)
     lower = _hop_bound(0.0, v, _code_subset(code, M_t, cfg), cfg)
-    return TheoryBound(axis="doppler", coords=v, lower=lower,
-                       meta={"axis": "doppler", "M_t": M_t})
+    return TheoryBound(axis="doppler", coords=v, lower=lower)
 
 
 def delay_lower_bound(tau_grid, code: FhCode, cfg: RadarConfig,
@@ -143,28 +142,4 @@ def delay_lower_bound(tau_grid, code: FhCode, cfg: RadarConfig,
     """
     tau = np.asarray(tau_grid, dtype=float)
     lower = _hop_bound(tau, 0.0, _code_subset(code, M_t, cfg), cfg)
-    return TheoryBound(axis="delay", coords=tau, lower=lower,
-                       meta={"axis": "delay", "M_t": M_t})
-
-
-def write_bound_csv(bound: TheoryBound, path, doc: dict, seed=None,
-                    slice_values: np.ndarray | None = None) -> None:
-    """CSV columns: coord, bound [, magnitude, magnitude_db when a cut is given]."""
-    cols = {"coord": bound.coords, "bound": bound.lower}
-    if slice_values is not None:
-        vals = np.asarray(slice_values, dtype=float)
-        if vals.shape != bound.coords.shape:
-            raise ValidationError("slice_values: grid does not match the bound")
-        peak = float(bound.meta.get("M_t", 1))
-        with np.errstate(divide="ignore"):
-            cols["magnitude"] = vals
-            cols["magnitude_db"] = 20.0 * np.log10(vals / peak)
-    write_csv(path, cols, doc, seed, extra={"axis": bound.axis})
-
-
-def write_bound_json(bound: TheoryBound, path, doc: dict, seed=None) -> None:
-    write_json(path, {
-        "axis": bound.axis,
-        "coord": [float(v) for v in bound.coords],
-        "bound": [float(v) for v in bound.lower],
-    }, doc, seed)
+    return TheoryBound(axis="delay", coords=tau, lower=lower)

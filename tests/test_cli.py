@@ -1,8 +1,11 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mafh
 from mafh import FhCode, RadarConfig, generate_fh_code, save_fh_code
 from mafh.cli import main
 
@@ -108,6 +111,24 @@ def test_theory_sweep_width_decreases_with_budget(tmp_path):
     assert np.all(np.diff(data[:, 1]) < 0)   # more aperture, narrower lobe
 
 
+def test_theory_sweep_skips_angles_past_endfire(tmp_path, capsys):
+    rc = main(["theory", "--sweep", "theta", "--sweep-lo", "1",
+               "--sweep-hi", "3", "--sweep-points", "3",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    path = tmp_path / "theory_width_theta.csv"
+    names, data = _rows(path)
+    assert data[:, 0].tolist() == [1.0]    # 2 rad leaves the visible region
+    assert "# skipped=2" in path.read_text()
+    capsys.readouterr()
+
+    rc = main(["theory", "--sweep", "L", "--theta", "3",
+               "--out-dir", str(tmp_path / "L")])
+    assert rc == 2
+    assert "no feasible points" in capsys.readouterr().err
+    assert list((tmp_path / "L").iterdir()) == []
+
+
 def test_theory_sweep_all_infeasible(tmp_path, capsys):
     rc = main(["theory", "--sweep", "Mt", "--budget", "1.2",
                "--sweep-lo", "6", "--sweep-hi", "8",
@@ -125,6 +146,15 @@ def test_theory_bound_doppler(tmp_path):
     assert data.shape[0] == 41
     mid = data[data[:, 0] == 0.0]
     assert mid[0, 1] == pytest.approx(4.0, abs=1e-9)   # matched value M_t
+
+
+@pytest.mark.parametrize("points", ["0", "1"])
+def test_theory_bound_needs_two_points(tmp_path, capsys, points):
+    rc = main(["theory", "--bound", "doppler", "--points", points,
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "error: points:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_theory_bound_with_overlay(tmp_path):
@@ -180,7 +210,9 @@ def test_optimize_rgpm_smoke(tmp_path):
 
     names, data = _rows(tmp_path / "trace.csv")
     assert names == ["k", "f", "grad_norm", "active_count", "omega"]
+    assert data.shape[0] == summary["iterations"] + 1
     assert np.all(np.diff(data[:, 1]) <= 1e-12)
+    assert "# reason=" in (tmp_path / "trace.csv").read_text()
 
 
 def test_optimize_ga_smoke(tmp_path):
@@ -245,13 +277,21 @@ def test_tradeoff_smoke(tmp_path):
 
 
 def test_detect_smoke_and_matched_tie(tmp_path):
-    rc = main(["detect", "--mt", "2", "--budget", "1.2",
-               "--layouts", "equidistant,mmlwd", "--pfa", "1e-3",
-               "--trials", "40000", "--snr=-12:0:6",
-               "--out-dir", str(tmp_path)])
+    args = ["detect", "--mt", "2", "--budget", "1.2",
+            "--layouts", "equidistant,mmlwd", "--pfa", "1e-3",
+            "--trials", "40000", "--snr=-12:0:6"]
+    rc = main(args + ["--out-dir", str(tmp_path)])
     assert rc == 0
-    assert (tmp_path / "detect_equidistant.csv").exists()
-    assert (tmp_path / "detect_mmlwd.csv").exists()
+    for label in ("equidistant", "mmlwd"):
+        path = tmp_path / f"detect_{label}.csv"
+        names, data = _rows(path)
+        assert names == ["snr_db", "p_d", "ci_low", "ci_high"]
+        assert data.shape[0] == 3
+        text = path.read_text()
+        assert "# threshold=" in text and "# pfa_measured=" in text
+    assert main(args + ["--out-dir", str(tmp_path / "rerun")]) == 0
+    assert ((tmp_path / "rerun" / "detect_mmlwd.csv").read_bytes()
+            == (tmp_path / "detect_mmlwd.csv").read_bytes())
     names, data = _rows(tmp_path / "detect_compare.csv")
     assert names == ["snr_db", "p_d_equidistant", "p_d_mmlwd"]
     assert data.shape[0] == 3    # -12, -6, 0 dB
@@ -282,6 +322,22 @@ def test_detect_checks_every_layout_before_writing(tmp_path, capsys):
     assert rc == 2
     assert "error: M_t:" in capsys.readouterr().err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("layouts", ["equidistant,equidistant",
+                                     "file:a/x.json,file:b/x.json"])
+def test_detect_rejects_repeated_labels(tmp_path, capsys, layouts):
+    # both entries would write detect_x.csv and one p_d_x column
+    for sub, spacing in (("a", 0.5), ("b", 0.7)):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "x.json").write_text(json.dumps({"d": [spacing]}))
+    layouts = layouts.replace("file:", f"file:{tmp_path}/")
+    out = tmp_path / "out"
+    rc = main(["detect", "--mt", "2", "--budget", "1.2", "--pfa", "1e-3",
+               "--trials", "40000", "--layouts", layouts, "--out-dir", str(out)])
+    assert rc == 2
+    assert "error: --layouts:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_detect_rejects_bad_pfa(tmp_path, capsys):
@@ -316,3 +372,28 @@ def test_config_file_round_trip(tmp_path):
     assert rc == 0
     _, data = _rows(tmp_path / "af_angular.csv")
     assert data[:, 1].max() == pytest.approx(2.0, abs=1e-9)  # M_t from layout
+
+
+def _output_imports(path):
+    """Names a module imports from ``mafh.output`` (``output`` for the module)."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = "." * node.level + (node.module or "")
+        if module in (".output", "mafh.output"):
+            names += [a.name for a in node.names]
+        elif module in (".", "mafh"):
+            names += [a.name for a in node.names if a.name == "output"]
+    return names
+
+
+def test_only_the_cli_writes_files():
+    """File layouts live in one module: the analysis modules return data only."""
+    users = {}
+    for path in sorted(Path(mafh.__file__).parent.glob("*.py")):
+        names = _output_imports(path)
+        if names:
+            users[path.name] = names
+    assert users.pop("__init__.py") == ["__version__"]
+    assert list(users) == ["cli.py"]

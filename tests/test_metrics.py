@@ -17,7 +17,6 @@ from mafh import (
     measure_lobes,
     mmlwd_layout,
 )
-from mafh.metrics import write_detection_csv
 from mafh.theory import TheoryBound
 
 # Detection figures below were produced by this module at seed 0 and frozen;
@@ -28,7 +27,7 @@ DET_PFA = 0.000825
 
 def _slice(coords, values):
     return AmbiguitySlice(axis="angular", coords=np.asarray(coords, float),
-                          values=np.asarray(values, float), meta={})
+                          values=np.asarray(values, float))
 
 
 def test_lobes_equidistant(cfg, code8, equid8):
@@ -83,7 +82,7 @@ def test_bound_gap_counts_violations():
     coords = np.array([0.0, 1.0, 2.0])
     s = _slice(coords, [1.0, 2.0, 3.0])
     bound = TheoryBound(axis="angular", coords=coords,
-                        lower=np.array([0.5, 2.5, 1.0]), meta={})
+                        lower=np.array([0.5, 2.5, 1.0]))
     g = bound_gap(s, bound)
     assert g.min_gap == pytest.approx(-0.5)
     assert g.violation_count == 1
@@ -92,7 +91,7 @@ def test_bound_gap_counts_violations():
 def test_bound_gap_grid_mismatch():
     s = _slice([0.0, 1.0], [1.0, 1.0])
     bound = TheoryBound(axis="angular", coords=np.array([0.0, 1.5]),
-                        lower=np.zeros(2), meta={})
+                        lower=np.zeros(2))
     with pytest.raises(ValidationError, match="do not match"):
         bound_gap(s, bound)
 
@@ -196,20 +195,3 @@ def test_detection_validation(cfg, code8, equid8):
     with pytest.raises(ValidationError, match="^trials:"):
         detection_probability(equid8, code8, cfg,
                               DetectionParams(P_fa=1e-4, trials=1_000))
-
-
-def test_detection_csv(det_curve, tmp_path):
-    path = tmp_path / "det.csv"
-    write_detection_csv(det_curve, path, {"name": "det"}, seed=0)
-    text = path.read_text()
-    lines = text.splitlines()
-    header = [ln for ln in lines if not ln.startswith("#")][0]
-    assert header == "snr_db,p_d,ci_low,ci_high"
-    assert any("threshold=" in ln for ln in lines)
-    assert any("pfa_measured=" in ln for ln in lines)
-    body = [ln for ln in lines if not ln.startswith("#")]
-    assert len(body) == 1 + 3  # header + one row per SNR point
-
-    write_detection_csv(det_curve, tmp_path / "det2.csv", {"name": "det"},
-                        seed=0)
-    assert (tmp_path / "det2.csv").read_bytes() == path.read_bytes()

@@ -17,7 +17,7 @@ from mafh import (
     rgpm_multistart,
     rgpm_optimize,
 )
-from mafh.rgpm import _active_indices, _armijo, _project, write_trace_csv
+from mafh.rgpm import _active_indices, _armijo, _project
 
 F1 = (1.0, 0.0, 0.0)   # angular objective only
 
@@ -292,16 +292,3 @@ def test_multistart_rejects_bad_thread_env(small, monkeypatch):
     monkeypatch.setenv("MAFH_THREADS", "plenty")
     with pytest.raises(ValidationError, match="MAFH_THREADS"):
         rgpm_multistart(poly, ev, F1)
-
-
-def test_write_trace_csv(tmp_path, small):
-    ev, poly = small
-    res = rgpm_optimize(AntennaLayout(d=np.array([1.0]), L=1.2), poly, ev, F1,
-                        K_max=20)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(res, path, {"M_t": 2}, seed=0)
-    lines = path.read_text().splitlines()
-    assert any(ln.startswith("# reason=") for ln in lines if ln.startswith("#"))
-    body = [ln for ln in lines if not ln.startswith("#")]
-    assert body[0] == "k,f,grad_norm,active_count,omega"
-    assert len(body) == 1 + len(res.trace)

@@ -18,7 +18,6 @@ from mafh import (
     random_feasible_layout,
 )
 from mafh.ambiguity import matched_cut
-from mafh.theory import write_bound_csv
 
 
 def test_mmlwd_layout_structure():
@@ -69,6 +68,14 @@ def test_b_min_visible_region_error():
 def test_b_min_rejects_degenerate_aperture():
     with pytest.raises(ValidationError, match="^L:"):
         b_min(8, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("theta", [2.5, -2.5, math.pi / 2 + 1e-9])
+def test_b_min_rejects_angles_past_endfire(theta):
+    # sin(pi - theta) = sin(theta): without the check 2.5 rad returns the
+    # width at pi - 2.5
+    with pytest.raises(ValidationError, match="^theta: expected"):
+        b_min(8, 7.0, theta)
 
 
 def test_mmlwd_width_matches_formula(cfg):
@@ -172,17 +179,3 @@ def test_bound_code_subset_validation(cfg, code8):
     short = generate_fh_code(cfg, 4, seed=0)
     with pytest.raises(ValidationError, match="^M_t:"):
         delay_lower_bound(np.array([0.0]), short, cfg, 5)
-
-
-def test_write_bound_csv(tmp_path, cfg, code8):
-    v = np.linspace(-cfg.f_max, cfg.f_max, 21)
-    b = doppler_lower_bound(v, code8, cfg, 8)
-    path = tmp_path / "bound.csv"
-    write_bound_csv(b, path, {"M_t": 8}, seed=1)
-    lines = path.read_text().splitlines()
-    body = [ln for ln in lines if not ln.startswith("#")]
-    assert body[0] == "coord,bound"
-    assert len(body) == 22
-    # overlaying a cut on a mismatched grid is refused
-    with pytest.raises(ValidationError, match="slice_values"):
-        write_bound_csv(b, path, {"M_t": 8}, slice_values=np.zeros(5))
