@@ -14,8 +14,7 @@ from .metrics import (BoundGap, DetectionCurve, LobeReport, bound_gap,
 from .model import (AntennaLayout, DetectionParams, FhCode, RadarConfig,
                     ValidationError, equidistant_layout, generate_fh_code,
                     load_config, load_fh_code, parse_config,
-                    random_feasible_layout, save_fh_code, validate_config,
-                    validate_detection)
+                    random_feasible_layout, save_fh_code)
 from .objective import (ObjectiveEvaluator, ObjectiveGrid, build_grid,
                         finite_diff_grad)
 from .output import __version__
@@ -33,7 +32,7 @@ __all__ = [
     "AntennaLayout", "DetectionParams", "FhCode", "RadarConfig",
     "ValidationError", "equidistant_layout", "generate_fh_code",
     "load_config", "load_fh_code", "parse_config", "random_feasible_layout",
-    "save_fh_code", "validate_config", "validate_detection",
+    "save_fh_code",
     "ObjectiveEvaluator", "ObjectiveGrid", "build_grid", "finite_diff_grad",
     "FeasiblePolytope", "IterRecord", "RgpmResult", "rgpm_multistart",
     "rgpm_optimize",

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AntennaLayout, FhCode, RadarConfig, ValidationError
+from .model import (AntennaLayout, FhCode, RadarConfig, ValidationError,
+                    _check_angle, _check_code_fit)
 
 _HALF_PI = 0.5 * np.pi
-_ANGLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,8 @@ class AmbiguityQuery:
     theta_p: float = 0.0  # probing angle (rad)
 
     def __post_init__(self):
-        for name in ("theta", "theta_p"):
-            val = getattr(self, name)
-            if abs(val) > _HALF_PI + _ANGLE_TOL:
-                raise ValidationError(f"{name}: expected |angle| <= pi/2, got {val}")
+        _check_angle("theta", self.theta)
+        _check_angle("theta_p", self.theta_p)
 
 
 def chi_r(tau, v, delta_t):
@@ -65,11 +63,12 @@ def _chi_r_polar(tau, v, delta_t):
     return (overlap / delta_t) * np.sinc(v * overlap), np.pi * v * (delta_t - tau)
 
 
-def _check_pair(layout: AntennaLayout, code: FhCode) -> None:
+def _check_pair(layout: AntennaLayout, code: FhCode, cfg: RadarConfig) -> None:
     if layout.M_t != code.M_t:
         raise ValidationError(
             f"M_t: layout has {layout.M_t} elements but code has {code.M_t} rows"
         )
+    _check_code_fit(code, cfg)
 
 
 def _shift_terms(tau, v, code: FhCode, cfg: RadarConfig):
@@ -86,6 +85,7 @@ def _shift_terms(tau, v, code: FhCode, cfg: RadarConfig):
     of those samples over the broadcast of ``tau``/``v``, and their terms
     for the valid q, shape (inside.sum(), M_t, M_t, Q - |s|).
     """
+    _check_code_fit(code, cfg)
     tau, v = (np.asarray(a, dtype=float) for a in np.broadcast_arrays(tau, v))
     c = code.c.astype(float)
     dt, df = cfg.delta_t, cfg.delta_f
@@ -134,7 +134,7 @@ def chi(query: AmbiguityQuery, layout: AntennaLayout, code: FhCode,
     Zero outside the delay support |tau| >= Q*delta_t; the matched point
     returns M_t when delta_f*delta_t is a positive integer.
     """
-    _check_pair(layout, code)
+    _check_pair(layout, code, cfg)
     G = kernel_matrix(query.tau, query.v, code, cfg)
     x = layout.x
     a = steering(query.theta, x)
@@ -158,7 +158,7 @@ def chi_mag_sq(query: AmbiguityQuery, layout: AntennaLayout, code: FhCode,
     and the objectives compute from ``kernel_matrix``; both routes must agree
     to floating-point accuracy.
     """
-    _check_pair(layout, code)
+    _check_pair(layout, code, cfg)
     c = code.c.astype(float)
     Q = code.Q
     dt, df = cfg.delta_t, cfg.delta_f
@@ -196,7 +196,7 @@ def chi_oracle(query: AmbiguityQuery, layout: AntennaLayout, code: FhCode,
     inside each panel, so the trapezoid error stays at the O((f/f_s)^2) level
     instead of the O(1/f_s) edge error a blind uniform grid would give.
     """
-    _check_pair(layout, code)
+    _check_pair(layout, code, cfg)
     tau, v = query.tau, query.v
     c = code.c
     Q = code.Q
@@ -272,8 +272,7 @@ def af_slice(axis: str, layout: AntennaLayout, code: FhCode, cfg: RadarConfig,
     """
     if axis not in _AXES:
         raise ValidationError(f"axis: expected one of {_AXES}, got {axis!r}")
-    if abs(theta) > _HALF_PI + _ANGLE_TOL:
-        raise ValidationError(f"theta: expected |angle| <= pi/2, got {theta}")
+    _check_angle("theta", theta)
     if n_points < 2:
         raise ValidationError(f"n_points: expected at least 2, got {n_points}")
 
@@ -307,7 +306,7 @@ def matched_cut(axis: str, coords, layout: AntennaLayout, code: FhCode,
     full kernel, so it stays exact for any hop product, not only integer
     delta_f*delta_t.
     """
-    _check_pair(layout, code)
+    _check_pair(layout, code, cfg)
     coords = np.asarray(coords, dtype=float)
     a = b = steering(theta, layout.x)
     if axis == "angular":

@@ -25,7 +25,7 @@ from .ga import GaParams, ga_optimize
 from .metrics import detection_probability
 from .model import (AntennaLayout, FhCode, ValidationError, config_to_dict,
                     generate_fh_code, load_fh_code, parse_config,
-                    random_feasible_layout, validate_detection)
+                    random_feasible_layout)
 from .objective import ObjectiveEvaluator, _check_alpha, build_grid
 from .output import write_csv, write_json
 from .rgpm import FeasiblePolytope, rgpm_multistart
@@ -382,13 +382,10 @@ def _layout_label(name: str) -> str:
 def cmd_detect(args) -> int:
     cfg, cfg_layout, det = _load_manifest(args)
     M_t, L = _geometry(args, cfg_layout)
-    if args.pfa is not None:
-        det = replace(det, P_fa=args.pfa)
-    if args.trials is not None:
-        det = replace(det, trials=args.trials)
-    if args.snr is not None:
-        det = replace(det, snr_grid=_parse_snr(args.snr))
-    validate_detection(det)
+    # one replace: DetectionParams checks itself, and a partial override can be invalid
+    overrides = {"P_fa": args.pfa, "trials": args.trials,
+                 "snr_grid": None if args.snr is None else _parse_snr(args.snr)}
+    det = replace(det, **{k: v for k, v in overrides.items() if v is not None})
     code = _code_for(args, cfg, M_t)
 
     names = [n.strip() for n in args.layouts.split(",") if n.strip()]
@@ -402,7 +399,7 @@ def cmd_detect(args) -> int:
     layouts = {name: _resolve_layout(name, M_t, L, cfg_layout, args.seed)
                for name in names if name != "optimized"}
     for layout in layouts.values():
-        _check_pair(layout, code)
+        _check_pair(layout, code, cfg)
     if "optimized" in names:
         alpha = _parse_alpha(args.alpha)
         grid = build_grid(cfg, _equidistant_budget(M_t, L), theta_eval=args.theta_eval)

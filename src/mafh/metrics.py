@@ -16,7 +16,7 @@ import numpy as np
 
 from .ambiguity import AmbiguityQuery, AmbiguitySlice, chi
 from .model import (AntennaLayout, DetectionParams, FhCode, RadarConfig,
-                    ValidationError, validate_detection)
+                    ValidationError)
 from .theory import TheoryBound
 
 NULL_THRESHOLD = 0.05  # local minima below this fraction of the peak are nulls
@@ -155,7 +155,6 @@ def detection_probability(layout: AntennaLayout, code: FhCode, cfg: RadarConfig,
     noise-only draws; an independent noise stream reports the measured
     false-alarm rate.  Deterministic in ``seed`` regardless of chunking.
     """
-    validate_detection(det)
     matched = abs(chi(AmbiguityQuery(), layout, code, cfg))
     sigma2 = float(layout.M_t)
 

@@ -26,10 +26,12 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class RadarConfig:
-    """Waveform and sampling constants of the frequency-hopping transmitter."""
+    """Waveform and sampling constants of the frequency-hopping transmitter.
+
+    Building or ``replace``-ing one raises ValidationError on a broken invariant.
+    """
 
     f_c: float = 8.2e9       # carrier frequency (Hz)
-    bandwidth: float = None  # occupied bandwidth K*delta_f (Hz); derived when omitted
     delta_f: float = 1e6     # hop frequency step (Hz)
     delta_t: float = 1e-6    # subpulse duration (s)
     Q: int = 6               # subpulses per pulse
@@ -37,13 +39,36 @@ class RadarConfig:
     T_P: float = 2e-5        # pulse repetition interval (s)
     f_s: float = 1.6e8       # sampling rate for direct waveform integration (Hz)
     f_max: float = 1e7       # half-range of the Doppler axis of interest (Hz)
-    T_w: float = None        # pulse duration Q*delta_t (s); derived when omitted
 
     def __post_init__(self):
-        if self.bandwidth is None:
-            object.__setattr__(self, "bandwidth", float(self.K * self.delta_f))
-        if self.T_w is None:
-            object.__setattr__(self, "T_w", self.Q * self.delta_t)
+        if not self.Q >= 1:
+            raise ValidationError(f"Q: expected Q >= 1, got {self.Q}")
+        if not self.K >= 1:
+            raise ValidationError(f"K: expected K >= 1, got {self.K}")
+        if not self.delta_t > 0:
+            raise ValidationError(f"delta_t: expected delta_t > 0, got {self.delta_t}")
+        if not self.delta_f > 0:
+            raise ValidationError(f"delta_f: expected delta_f > 0, got {self.delta_f}")
+        if not self.f_c > 0:
+            raise ValidationError(f"f_c: expected f_c > 0, got {self.f_c}")
+        if not self.f_s >= 2 * self.bandwidth:
+            raise ValidationError(
+                f"f_s: expected f_s >= 2*K*delta_f = {2 * self.bandwidth}, got {self.f_s}"
+            )
+        if not self.T_P >= self.T_w:
+            raise ValidationError(f"T_P: expected T_P >= T_w = {self.T_w}, got {self.T_P}")
+        if not self.f_max > 0:
+            raise ValidationError(f"f_max: expected f_max > 0, got {self.f_max}")
+
+    @property
+    def bandwidth(self) -> float:
+        """Occupied bandwidth K*delta_f (Hz)."""
+        return float(self.K * self.delta_f)
+
+    @property
+    def T_w(self) -> float:
+        """Pulse duration Q*delta_t (s)."""
+        return self.Q * self.delta_t
 
     @property
     def wavelength(self) -> float:
@@ -60,38 +85,20 @@ def _close(a: float, b: float, rel: float = 1e-12) -> bool:
     return abs(a - b) <= rel * max(abs(a), abs(b), 1.0)
 
 
-def validate_config(cfg: RadarConfig) -> RadarConfig:
-    """Return ``cfg`` unchanged if every invariant holds, else raise ValidationError.
+def _check_angle(name: str, angle: float) -> None:
+    """Raise unless |angle| <= pi/2, with 1e-12 rad of slack for roundoff."""
+    if abs(angle) > 0.5 * math.pi + 1e-12:
+        raise ValidationError(f"{name}: expected |angle| <= pi/2, got {angle}")
 
-    The first violated invariant is reported by name.
-    """
-    if not cfg.Q >= 1:
-        raise ValidationError(f"Q: expected Q >= 1, got {cfg.Q}")
-    if not cfg.K >= 1:
-        raise ValidationError(f"K: expected K >= 1, got {cfg.K}")
-    if not cfg.delta_t > 0:
-        raise ValidationError(f"delta_t: expected delta_t > 0, got {cfg.delta_t}")
-    if not cfg.delta_f > 0:
-        raise ValidationError(f"delta_f: expected delta_f > 0, got {cfg.delta_f}")
-    if not _close(cfg.bandwidth, cfg.K * cfg.delta_f):
+
+def _check_aperture(M_t: int, L: float) -> None:
+    """Raise unless M_t >= 2 elements fit in budget L at lambda/2 spacings."""
+    if M_t < 2:
+        raise ValidationError(f"M_t: expected M_t >= 2, got {M_t}")
+    if L < 0.5 * (M_t - 1) - FEASIBILITY_TOL:
         raise ValidationError(
-            f"bandwidth: expected K*delta_f = {cfg.K * cfg.delta_f}, got {cfg.bandwidth}"
+            f"L: aperture {L} cannot fit {M_t - 1} spacings of at least lambda/2"
         )
-    if not _close(cfg.T_w, cfg.Q * cfg.delta_t):
-        raise ValidationError(
-            f"T_w: expected T_w = Q*delta_t = {cfg.Q * cfg.delta_t}, got {cfg.T_w}"
-        )
-    if not cfg.f_c > 0:
-        raise ValidationError(f"f_c: expected f_c > 0, got {cfg.f_c}")
-    if not cfg.f_s >= 2 * cfg.K * cfg.delta_f:
-        raise ValidationError(
-            f"f_s: expected f_s >= 2*K*delta_f = {2 * cfg.K * cfg.delta_f}, got {cfg.f_s}"
-        )
-    if not cfg.T_P >= cfg.T_w:
-        raise ValidationError(f"T_P: expected T_P >= T_w = {cfg.T_w}, got {cfg.T_P}")
-    if not cfg.f_max > 0:
-        raise ValidationError(f"f_max: expected f_max > 0, got {cfg.f_max}")
-    return cfg
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,22 +184,25 @@ class DetectionParams:
 
     def __post_init__(self):
         object.__setattr__(self, "snr_grid", tuple(float(s) for s in self.snr_grid))
+        if not self.M_r >= 1:
+            raise ValidationError(f"M_r: expected M_r >= 1, got {self.M_r}")
+        if not 0.0 < self.P_fa < 1.0:
+            raise ValidationError(f"P_fa: expected 0 < P_fa < 1, got {self.P_fa}")
+        if not len(self.snr_grid) >= 1:
+            raise ValidationError("snr_grid: expected at least one SNR point")
+        if not self.trials >= 10.0 / self.P_fa:
+            raise ValidationError(
+                f"trials: expected trials >= 10/P_fa = {10.0 / self.P_fa:.0f} "
+                f"for threshold calibration, got {self.trials}"
+            )
 
 
-def validate_detection(det: DetectionParams) -> DetectionParams:
-    """Return ``det`` if its invariants hold, else raise ValidationError."""
-    if not det.M_r >= 1:
-        raise ValidationError(f"M_r: expected M_r >= 1, got {det.M_r}")
-    if not 0.0 < det.P_fa < 1.0:
-        raise ValidationError(f"P_fa: expected 0 < P_fa < 1, got {det.P_fa}")
-    if not len(det.snr_grid) >= 1:
-        raise ValidationError("snr_grid: expected at least one SNR point")
-    if not det.trials >= 10.0 / det.P_fa:
-        raise ValidationError(
-            f"trials: expected trials >= 10/P_fa = {10.0 / det.P_fa:.0f} "
-            f"for threshold calibration, got {det.trials}"
-        )
-    return det
+def _check_code_fit(code: FhCode, cfg: RadarConfig) -> None:
+    """Raise unless ``code`` has cfg.Q columns and hop indices up to cfg.K."""
+    if code.Q != cfg.Q:
+        raise ValidationError(f"c: expected {cfg.Q} code columns, got {code.Q}")
+    if code.c.max(initial=1) > cfg.K:
+        raise ValidationError(f"c: hop index {code.c.max()} exceeds K = {cfg.K}")
 
 
 def generate_fh_code(cfg: RadarConfig, M_t: int, seed: int) -> FhCode:
@@ -214,10 +224,9 @@ def generate_fh_code(cfg: RadarConfig, M_t: int, seed: int) -> FhCode:
 
 def equidistant_layout(M_t: int) -> AntennaLayout:
     """Half-wavelength uniform array; the aperture budget equals its span."""
-    if M_t < 2:
-        raise ValidationError(f"M_t: expected M_t >= 2, got {M_t}")
-    d = np.full(M_t - 1, 0.5)
-    return AntennaLayout(d=d, L=0.5 * (M_t - 1))
+    L = 0.5 * (M_t - 1)
+    _check_aperture(M_t, L)
+    return AntennaLayout(d=np.full(M_t - 1, 0.5), L=L)
 
 
 def random_feasible_layout(M_t: int, L: float,
@@ -229,13 +238,8 @@ def random_feasible_layout(M_t: int, L: float,
     ``seed``; a Generator passed as ``seed`` is used as is, so the draw
     continues its stream (M_t - 1 uniforms per call).
     """
-    if M_t < 2:
-        raise ValidationError(f"M_t: expected M_t >= 2, got {M_t}")
+    _check_aperture(M_t, L)
     slack = L - 0.5 * (M_t - 1)
-    if slack < -FEASIBILITY_TOL:
-        raise ValidationError(
-            f"L: aperture {L} cannot fit {M_t - 1} spacings of at least lambda/2"
-        )
     rng = np.random.default_rng(seed)
     z = np.sort(rng.uniform(0.0, 1.0, size=M_t - 1))
     excess = max(slack, 0.0) * np.diff(np.concatenate(([0.0], z)))
@@ -253,7 +257,10 @@ def random_feasible_layout(M_t: int, L: float,
 _RADAR_KEYS = {f.name for f in fields(RadarConfig)}
 _LAYOUT_KEYS = {"M_t", "d", "L"}
 _DETECTION_KEYS = {f.name for f in fields(DetectionParams)}
-_DERIVED_KEYS = {"lambda"}
+# derived values a document may state as checks: key -> (attribute, formula, rel. tol.)
+_DERIVED = {"lambda": ("wavelength", "c0/f_c", 1e-6),
+            "bandwidth": ("bandwidth", "K*delta_f", 1e-12),
+            "T_w": ("T_w", "T_w = Q*delta_t", 1e-12)}
 
 
 def parse_config(doc: dict) -> tuple[RadarConfig, AntennaLayout | None, DetectionParams]:
@@ -263,16 +270,16 @@ def parse_config(doc: dict) -> tuple[RadarConfig, AntennaLayout | None, Detectio
     carries geometry fields; "d" may be omitted to leave the spacings to a
     layout constructor (M_t and L must then still be present).
     """
-    unknown = set(doc) - _RADAR_KEYS - _LAYOUT_KEYS - _DETECTION_KEYS - _DERIVED_KEYS
+    unknown = set(doc) - _RADAR_KEYS - _LAYOUT_KEYS - _DETECTION_KEYS - _DERIVED.keys()
     if unknown:
         raise ValidationError(f"unknown configuration keys: {sorted(unknown)}")
 
     radar_kwargs = {k: doc[k] for k in _RADAR_KEYS if k in doc}
-    cfg = validate_config(RadarConfig(**radar_kwargs))
-    if "lambda" in doc and not _close(doc["lambda"], cfg.wavelength, rel=1e-6):
-        raise ValidationError(
-            f"lambda: expected c0/f_c = {cfg.wavelength}, got {doc['lambda']}"
-        )
+    cfg = RadarConfig(**radar_kwargs)
+    for key, (attr, formula, rel) in _DERIVED.items():
+        want = getattr(cfg, attr)
+        if doc.get(key) is not None and not _close(doc[key], want, rel):
+            raise ValidationError(f"{key}: expected {formula} = {want}, got {doc[key]}")
 
     layout = None
     if "M_t" in doc or "d" in doc or "L" in doc:
@@ -290,12 +297,11 @@ def parse_config(doc: dict) -> tuple[RadarConfig, AntennaLayout | None, Detectio
             if "M_t" not in doc:
                 raise ValidationError("M_t: required when d is omitted")
             M_t = int(doc["M_t"])
-            if M_t < 2:
-                raise ValidationError(f"M_t: expected M_t >= 2, got {M_t}")
+            _check_aperture(M_t, L)
             layout = AntennaLayout(d=np.full(M_t - 1, 0.5), L=L)
 
     det_kwargs = {k: doc[k] for k in _DETECTION_KEYS if k in doc}
-    det = validate_detection(DetectionParams(**det_kwargs))
+    det = DetectionParams(**det_kwargs)
     return cfg, layout, det
 
 
@@ -338,10 +344,5 @@ def load_fh_code(path: str | Path, cfg: RadarConfig | None = None) -> FhCode:
         mat = json.load(fh)
     code = FhCode(c=np.asarray(mat, dtype=int))
     if cfg is not None:
-        if code.Q != cfg.Q:
-            raise ValidationError(f"c: expected {cfg.Q} columns, got {code.Q}")
-        if code.c.max(initial=1) > cfg.K:
-            raise ValidationError(
-                f"c: hop index {code.c.max()} exceeds K = {cfg.K}"
-            )
+        _check_code_fit(code, cfg)
     return code

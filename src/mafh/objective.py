@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import kernel_matrix, steering
-from .model import AntennaLayout, FhCode, RadarConfig, ValidationError
+from .model import (AntennaLayout, FhCode, RadarConfig, ValidationError,
+                    _check_angle)
 from .theory import b_min
 
 _HALF_PI = 0.5 * np.pi
@@ -92,8 +93,8 @@ def build_grid(cfg: RadarConfig, layout: AntennaLayout, _unused=None,
     angular range): much cheaper, same minimizers in practice.
     A third positional argument, where the weights once went, is ignored.
     """
-    if theta_eval is not None and abs(theta_eval) > _HALF_PI + 1e-12:
-        raise ValidationError(f"theta_eval: expected |angle| <= pi/2, got {theta_eval}")
+    if theta_eval is not None:
+        _check_angle("theta_eval", theta_eval)
 
     if layout.M_t >= 2:
         n1 = _ceil(2.0 * np.pi / b_min(layout.M_t, layout.L, 0.0))
@@ -139,8 +140,6 @@ class ObjectiveEvaluator:
     """
 
     def __init__(self, grid: ObjectiveGrid, code: FhCode, cfg: RadarConfig):
-        if code.Q != cfg.Q:
-            raise ValidationError(f"c: expected {cfg.Q} code columns, got {code.Q}")
         self.grid = grid
         self.cfg = cfg
         self.M = code.M_t

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AntennaLayout, ValidationError
+from .model import AntennaLayout, ValidationError, _check_aperture
 from .model import equidistant_layout, random_feasible_layout
 from .objective import ObjectiveEvaluator, _check_alpha
 from .theory import mmlwd_layout
@@ -43,12 +43,7 @@ class FeasiblePolytope:
     L: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"M_t: expected M_t >= 2, got {self.n + 1}")
-        if self.L < 0.5 * self.n - ACTIVE_TOL:
-            raise ValidationError(
-                f"L: aperture {self.L} cannot fit {self.n} spacings of at least lambda/2"
-            )
+        _check_aperture(self.n + 1, self.L)
         object.__setattr__(self, "L", float(self.L))
 
     @classmethod

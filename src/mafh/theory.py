@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import _ANGLE_TOL, _HALF_PI, _shift_terms
-from .model import AntennaLayout, FhCode, RadarConfig, ValidationError
+from .ambiguity import _shift_terms
+from .model import (AntennaLayout, FhCode, RadarConfig, ValidationError,
+                    _check_angle, _check_aperture)
 
 
 def mmlwd_layout(M_t: int, L: float) -> AntennaLayout:
@@ -29,12 +30,7 @@ def mmlwd_layout(M_t: int, L: float) -> AntennaLayout:
     ends of the aperture: every spacing is lambda/2 except the central one,
     which takes up the remaining budget L - (M_t - 2)*lambda/2.
     """
-    if M_t < 2:
-        raise ValidationError(f"M_t: expected M_t >= 2, got {M_t}")
-    if L < 0.5 * (M_t - 1) - 1e-12:
-        raise ValidationError(
-            f"L: aperture {L} cannot fit {M_t - 1} spacings of at least lambda/2"
-        )
+    _check_aperture(M_t, L)
     d = np.full(M_t - 1, 0.5)
     center = math.ceil(M_t / 2)               # 1-based index of the wide gap
     d[center - 1] = L - 0.5 * (M_t - 2)
@@ -48,14 +44,9 @@ def b_min(M_t: int, L: float, theta: float) -> float:
     arcsin(sin(theta) + u) - arcsin(sin(theta) - u) with
     u = 2 / (4*L - M_t + 2)  (L in wavelengths).
     """
-    if abs(theta) > _HALF_PI + _ANGLE_TOL:
-        raise ValidationError(f"theta: expected |angle| <= pi/2, got {theta}")
-    if M_t < 2:
-        raise ValidationError(f"M_t: expected M_t >= 2, got {M_t}")
-    denom = 4.0 * L - M_t + 2.0
-    if denom <= 0:
-        raise ValidationError(f"L: aperture too small, 4L - M_t + 2 = {denom}")
-    u = 2.0 / denom
+    _check_angle("theta", theta)
+    _check_aperture(M_t, L)
+    u = 2.0 / (4.0 * L - M_t + 2.0)
     s = math.sin(theta)
     if abs(s + u) > 1.0 or abs(s - u) > 1.0:
         raise ValidationError(
@@ -80,9 +71,7 @@ class TheoryBound:
             object.__setattr__(self, name, arr)
 
 
-def _code_subset(code: FhCode, M_t: int, cfg: RadarConfig) -> FhCode:
-    if code.Q != cfg.Q:
-        raise ValidationError(f"c: expected {cfg.Q} code columns, got {code.Q}")
+def _code_subset(code: FhCode, M_t: int) -> FhCode:
     if not 1 <= M_t <= code.M_t:
         raise ValidationError(
             f"M_t: expected 1 <= M_t <= {code.M_t} code rows, got {M_t}"
@@ -125,7 +114,7 @@ def doppler_lower_bound(v_grid, code: FhCode, cfg: RadarConfig,
     M_t code rows are used.
     """
     v = np.asarray(v_grid, dtype=float)
-    lower = _hop_bound(0.0, v, _code_subset(code, M_t, cfg), cfg)
+    lower = _hop_bound(0.0, v, _code_subset(code, M_t), cfg)
     return TheoryBound(axis="doppler", coords=v, lower=lower)
 
 
@@ -141,5 +130,5 @@ def delay_lower_bound(tau_grid, code: FhCode, cfg: RadarConfig,
     by Q.  Only the first M_t code rows are used.
     """
     tau = np.asarray(tau_grid, dtype=float)
-    lower = _hop_bound(tau, 0.0, _code_subset(code, M_t, cfg), cfg)
+    lower = _hop_bound(tau, 0.0, _code_subset(code, M_t), cfg)
     return TheoryBound(axis="delay", coords=tau, lower=lower)

@@ -77,8 +77,8 @@ def corner_runs(poly8, ev8):
 def test_criterion_01_closed_form_matches_simulation():
     errs = []
     for cfg, M_t, L in [
-        (RadarConfig(Q=2, K=4, bandwidth=4e6, f_s=512e6), 2, 1.5),
-        (RadarConfig(Q=4, K=6, bandwidth=6e6, f_s=768e6), 4, 2.5),
+        (RadarConfig(Q=2, K=4, f_s=512e6), 2, 1.5),
+        (RadarConfig(Q=4, K=6, f_s=768e6), 4, 2.5),
     ]:
         code = generate_fh_code(cfg, M_t, seed=0)
         layout = random_feasible_layout(M_t, L, seed=3)

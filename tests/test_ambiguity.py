@@ -18,6 +18,7 @@ from mafh import (
     chi_r,
     delay_lower_bound,
     doppler_lower_bound,
+    equidistant_layout,
     generate_fh_code,
     mmlwd_layout,
     random_feasible_layout,
@@ -102,7 +103,7 @@ def test_chi_oracle_agreement_default_rate(cfg, code8):
 
 def test_chi_oracle_error_is_second_order():
     """Doubling f_s shrinks the closed-form/oracle gap about fourfold."""
-    cfg_lo = RadarConfig(Q=2, K=4, bandwidth=4e6, f_s=6.4e7)
+    cfg_lo = RadarConfig(Q=2, K=4, f_s=6.4e7)
     cfg_hi = dataclasses.replace(cfg_lo, f_s=1.28e8)
     code = generate_fh_code(cfg_lo, 2, seed=0)
     lay = AntennaLayout(d=np.array([0.8]), L=1.0)
@@ -132,6 +133,22 @@ def test_chi_swap_symmetry(tau, v, th, thp):
 def test_query_rejects_out_of_range_angle():
     with pytest.raises(ValidationError, match="theta_p"):
         AmbiguityQuery(theta_p=2.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda lay, code, cfg: chi(AmbiguityQuery(), lay, code, cfg),
+    lambda lay, code, cfg: chi_mag_sq(AmbiguityQuery(), lay, code, cfg),
+    lambda lay, code, cfg: chi_oracle(AmbiguityQuery(), lay, code, cfg),
+    lambda lay, code, cfg: kernel_matrix(0.0, 0.0, code, cfg),
+    lambda lay, code, cfg: matched_cut("angular", [0.0], lay, code, cfg, 0.0),
+    lambda lay, code, cfg: af_slice("angular", lay, code, cfg),
+], ids=["chi", "chi_mag_sq", "chi_oracle", "kernel_matrix", "matched_cut",
+        "af_slice"])
+def test_code_columns_must_match_config(cfg, call):
+    # normalized by cfg.Q = 6, a 4-column code would peak at 8 * 4/6
+    code = generate_fh_code(RadarConfig(Q=4), 8, seed=0)
+    with pytest.raises(ValidationError, match="^c:"):
+        call(equidistant_layout(8), code, cfg)
 
 
 def test_af_slice_defaults_and_peak(cfg, code8, equid8):

@@ -5,8 +5,9 @@ methods by name and reads the positional arguments of ``kernel_matrix`` and
 the value of ``rgpm._worker_count``; ``bench/layers.py`` turns the recorded
 spans into per-layer metrics; ``bench/workloads.py`` recomputes the sweep's
 objectives from ``build_grid`` (called with a third positional argument) and
-the grid's attributes.  A package change that breaks one of those bindings
-fails here rather than in a benchmark run.
+the grid's attributes, reads ``DetectionCurve`` fields and builds a
+``RadarConfig`` from ``cfg.bandwidth``.  A package change that breaks one of
+those bindings fails here rather than in a benchmark run.
 """
 
 from pathlib import Path
@@ -73,6 +74,19 @@ def test_tradeoff_builds_each_table_once_per_evaluator(bench, tmp_path, capsys,
     tables = sum(s[2] == "ambiguity.kernel_matrix" for s in spans)
     assert evaluators == 1                         # for all 6 weight triples
     assert tables == 3
+
+
+@pytest.mark.parametrize("name", ["screen", "detect"])
+def test_workload_pass_passes_its_check(bench, tmp_path, name):
+    """One pass as an untraced benchmark run makes it, then its check."""
+    tracer, _ = bench
+    import workloads
+    cls = workloads.WORKLOADS[name]
+    wl = cls(1, tmp_path)
+    boundary = {cls.boundary} - {None}
+    with tracer.Tracer(only=boundary, keep_results=boundary) as tr:
+        p = wl.run_pass(0, tr)
+    assert wl.check(p) == []
 
 
 def test_sweep_check_recomputes_evaluator_objectives(bench, tmp_path):

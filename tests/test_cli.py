@@ -129,6 +129,22 @@ def test_theory_sweep_skips_angles_past_endfire(tmp_path, capsys):
     assert list((tmp_path / "L").iterdir()) == []
 
 
+def test_theory_sweep_skips_apertures_the_array_cannot_fit(tmp_path):
+    assert main(["theory", "--sweep", "Mt", "--budget", "1.2",
+                 "--out-dir", str(tmp_path / "Mt")]) == 0
+    path = tmp_path / "Mt" / "theory_width_Mt.csv"
+    _, data = _rows(path)
+    assert data[:, 0].tolist() == [2, 3]   # 4 elements need L >= 1.5
+    assert "# skipped=5" in path.read_text()
+
+    assert main(["theory", "--sweep", "L", "--sweep-lo", "1", "--sweep-hi", "4",
+                 "--sweep-points", "7", "--out-dir", str(tmp_path / "L")]) == 0
+    path = tmp_path / "L" / "theory_width_L.csv"
+    _, data = _rows(path)
+    assert data[:, 0].tolist() == [3.5, 4.0]   # 8 elements need L >= 3.5
+    assert "# skipped=5" in path.read_text()
+
+
 def test_theory_sweep_all_infeasible(tmp_path, capsys):
     rc = main(["theory", "--sweep", "Mt", "--budget", "1.2",
                "--sweep-lo", "6", "--sweep-hi", "8",
@@ -213,6 +229,16 @@ def test_optimize_rgpm_smoke(tmp_path):
     assert data.shape[0] == summary["iterations"] + 1
     assert np.all(np.diff(data[:, 1]) <= 1e-12)
     assert "# reason=" in (tmp_path / "trace.csv").read_text()
+
+
+def test_optimize_budget_within_feasibility_tolerance(tmp_path):
+    # 1e-10 below seven lambda/2 spacings: every start and the polytope
+    # accept it with the same 1e-9 slack
+    rc = main(["optimize", "--budget", "3.4999999999", "--kmax", "2",
+               "--starts", "2", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["certificate"]["reason"] == "degenerate"
 
 
 def test_optimize_ga_smoke(tmp_path):
@@ -312,6 +338,17 @@ def test_detect_optimizes_with_the_optimizer_flags(tmp_path):
     # the config hash in each header covers the layout spacings
     assert ((tmp_path / "detect_optimized.csv").read_bytes()
             == (tmp_path / "detect_layout.csv").read_bytes())
+
+
+def test_detect_applies_pfa_trials_and_snr_together(tmp_path):
+    # the configured trials=1000 is too few for --pfa 0.001 alone; with
+    # --trials 10000 the final setup holds
+    rc = main(["detect", "--layouts", "equidistant", "--set", "P_fa=0.01",
+               "--set", "trials=1000", "--pfa", "0.001", "--trials", "10000",
+               "--snr=-10:0:5", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    text = (tmp_path / "detect_equidistant.csv").read_text()
+    assert "# pfa_target=0.001" in text and "# trials=10000" in text
 
 
 def test_detect_checks_every_layout_before_writing(tmp_path, capsys):

@@ -88,7 +88,7 @@ def test_single_antenna_degenerate(cfg):
 
 def test_f2_single_element_reduction():
     """M_t=1, Q=1 collapses f2 to the sampled sinc^2 Doppler energy."""
-    cfg = RadarConfig(Q=1, K=8, T_w=None)
+    cfg = RadarConfig(Q=1, K=8)
     lay = AntennaLayout(d=np.zeros(0), L=0.0)
     code = generate_fh_code(cfg, 1, seed=0)
     g = build_grid(cfg, lay)
@@ -98,7 +98,7 @@ def test_f2_single_element_reduction():
 
 
 def test_f3_single_element_reduction():
-    cfg = RadarConfig(Q=1, K=8, T_w=None)
+    cfg = RadarConfig(Q=1, K=8)
     lay = AntennaLayout(d=np.zeros(0), L=0.0)
     code = generate_fh_code(cfg, 1, seed=0)
     g = build_grid(cfg, lay)

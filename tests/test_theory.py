@@ -70,6 +70,14 @@ def test_b_min_rejects_degenerate_aperture():
         b_min(8, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("M_t,L", [(8, 2.0), (8, 3.4), (4, 1.2)])
+def test_b_min_rejects_apertures_the_array_cannot_fit(M_t, L):
+    # 4L - M_t + 2 > 0, so the formula has a value, but M_t elements at
+    # lambda/2 spacings need L >= (M_t - 1)/2
+    with pytest.raises(ValidationError, match="^L: aperture .* cannot fit"):
+        b_min(M_t, L, 0.0)
+
+
 @pytest.mark.parametrize("theta", [2.5, -2.5, math.pi / 2 + 1e-9])
 def test_b_min_rejects_angles_past_endfire(theta):
     # sin(pi - theta) = sin(theta): without the check 2.5 rad returns the
