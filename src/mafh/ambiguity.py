@@ -157,6 +157,11 @@ def chi_mag_sq(query: AmbiguityQuery, layout: AntennaLayout, code: FhCode,
     table, so it serves as a table-free reference for the values that ``chi``
     and the objectives compute from ``kernel_matrix``; both routes must agree
     to floating-point accuracy.
+
+    It stays public although it is a third route to |chi|^2: the benchmark's
+    sweep/ga check imports it as its table-free 1e-9 reference, and the
+    integration oracle ``chi_oracle`` agrees with the closed form only to
+    about 5e-3 at the default sampling rate, too coarse to take its place.
     """
     _check_pair(layout, code, cfg)
     c = code.c.astype(float)

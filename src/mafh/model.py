@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -22,6 +23,20 @@ FEASIBILITY_TOL = 1e-9
 
 class ValidationError(ValueError):
     """A configuration or geometry invariant is violated."""
+
+
+def _check_number(name: str, value) -> None:
+    """Raise unless ``value`` is a real number; a bool or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name}: expected a number, got {value!r}")
+
+
+def _check_numbers(name: str, values) -> None:
+    """Raise unless ``values`` is a sequence of real numbers."""
+    if not np.iterable(values):
+        raise ValidationError(f"{name}: expected a list of numbers, got {values!r}")
+    for value in values:
+        _check_number(name, value)
 
 
 @dataclass(frozen=True)
@@ -41,6 +56,8 @@ class RadarConfig:
     f_max: float = 1e7       # half-range of the Doppler axis of interest (Hz)
 
     def __post_init__(self):
+        for f in fields(self):
+            _check_number(f.name, getattr(self, f.name))
         if not self.Q >= 1:
             raise ValidationError(f"Q: expected Q >= 1, got {self.Q}")
         if not self.K >= 1:
@@ -124,6 +141,10 @@ class AntennaLayout:
             raise ValidationError(
                 f"d: every spacing must be >= lambda/2, got min {d.min()}"
             )
+        if d.size:
+            # per-spacing slack alone would admit L up to M_t*tol short of
+            # (M_t - 1)/2, which b_min, build_grid and the polytope reject
+            _check_aperture(d.size + 1, self.L)
         if not float(d.sum()) <= self.L + FEASIBILITY_TOL:
             raise ValidationError(
                 f"L: spacings sum to {d.sum()}, exceeding the aperture budget {self.L}"
@@ -183,6 +204,9 @@ class DetectionParams:
     trials: int = 1_000_000      # noise-only calibration trials (and trials per SNR)
 
     def __post_init__(self):
+        for name in ("M_r", "P_fa", "trials"):
+            _check_number(name, getattr(self, name))
+        _check_numbers("snr_grid", self.snr_grid)
         object.__setattr__(self, "snr_grid", tuple(float(s) for s in self.snr_grid))
         if not self.M_r >= 1:
             raise ValidationError(f"M_r: expected M_r >= 1, got {self.M_r}")
@@ -277,16 +301,23 @@ def parse_config(doc: dict) -> tuple[RadarConfig, AntennaLayout | None, Detectio
     radar_kwargs = {k: doc[k] for k in _RADAR_KEYS if k in doc}
     cfg = RadarConfig(**radar_kwargs)
     for key, (attr, formula, rel) in _DERIVED.items():
+        if doc.get(key) is None:
+            continue
+        _check_number(key, doc[key])
         want = getattr(cfg, attr)
-        if doc.get(key) is not None and not _close(doc[key], want, rel):
+        if not _close(doc[key], want, rel):
             raise ValidationError(f"{key}: expected {formula} = {want}, got {doc[key]}")
 
     layout = None
     if "M_t" in doc or "d" in doc or "L" in doc:
         if "L" not in doc:
             raise ValidationError("L: required whenever layout fields are present")
+        for key in ("M_t", "L"):
+            if key in doc:
+                _check_number(key, doc[key])
         L = float(doc["L"])
         if "d" in doc:
+            _check_numbers("d", doc["d"])
             d = np.asarray(doc["d"], dtype=float)
             if "M_t" in doc and int(doc["M_t"]) != d.size + 1:
                 raise ValidationError(

@@ -18,11 +18,18 @@ orders of magnitude.  The sample coordinates themselves stay in Hz / s.
 
 The grid is fixed per run, so :class:`ObjectiveEvaluator` builds the three
 hop-pair kernel tables of :func:`mafh.ambiguity.kernel_matrix` once, when it
-is constructed; each objective or gradient evaluation then reduces to
-steering-vector contractions written as plain matrix products.  Only the
-array steering phase depends on d, so the gradient is taken with respect to
-the element positions x_m, all M partials from one contraction, and carried
-to the spacings through x_m = sum_{i<=m} d_i: df/dd_i = sum_{m>=i} df/dx_m.
+is constructed.  f1 contracts the angular table with the steering vectors on
+every call.  The Doppler and delay tables G (samples x M^2) enter f2 and f3
+only through their Gram matrices: with o_t = vec(a(theta_t) a(theta_t)^H),
+
+    sum_p |chi[t, p]|^2 = o_t^H (G^H G) o_t / Q^2,
+
+so the evaluator keeps the two M^2 x M^2 matrices H2, H3 (cell weights
+folded in) and drops the tables.  A weighted call evaluates alpha2*f2 +
+alpha3*f3 as one contraction with alpha2*H2 + alpha3*H3.  Only the array
+steering phase depends on d, so the gradient is taken with respect to the
+element positions x_m, all M partials from one contraction, and carried to
+the spacings through x_m = sum_{i<=m} d_i: df/dd_i = sum_{m>=i} df/dx_m.
 """
 
 from __future__ import annotations
@@ -129,28 +136,36 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real * z.real + z.imag * z.imag
 
 
+def _gram(G: np.ndarray, weight: float) -> np.ndarray:
+    """weight * G^H G of a (samples, M, M) table flattened to (samples, M*M)."""
+    G = G.reshape(G.shape[0], -1)
+    H = weight * (G.conj().T @ G)
+    H.setflags(write=False)
+    return H
+
+
 class ObjectiveEvaluator:
     """Grid-bound objective/gradient engine operating on raw spacing vectors.
 
-    The kernel tables depend on (grid, code, cfg) only, not on the weights.
-    They are built here, once, read-only, and serve every descent and weight
-    triple of a command, concurrent ones included.  ``d`` is not required to
-    be feasible — the ambiguity surface is defined for any positive spacings
-    — which the finite-difference probes rely on.
+    The angular kernel table and the Doppler/delay Gram matrices depend on
+    (grid, code, cfg) only, not on the weights.  They are built here, once,
+    read-only, and serve every descent and weight triple of a command,
+    concurrent ones included; f2 and f3 share one contraction per weighted
+    call.  ``d`` is not required to be feasible — the ambiguity surface is
+    defined for any positive spacings — which the finite-difference probes
+    rely on.
     """
 
     def __init__(self, grid: ObjectiveGrid, code: FhCode, cfg: RadarConfig):
         self.grid = grid
         self.cfg = cfg
         self.M = code.M_t
-        # the Doppler and delay stacks are kept as (samples, M*M) matrices
         self._g1 = kernel_matrix(0.0, 0.0, code, cfg)
-        self._g2 = kernel_matrix(0.0, grid.v_samples, code, cfg).reshape(
-            grid.v_samples.size, self.M * self.M)
-        self._g3 = kernel_matrix(grid.tau_samples, 0.0, code, cfg).reshape(
-            grid.tau_samples.size, self.M * self.M)
-        for table in (self._g1, self._g2, self._g3):
-            table.setflags(write=False)
+        self._g1.setflags(write=False)
+        # f2/f3 keep only their cell-weighted Gram matrices, not the tables
+        w = grid.w_theta23 / cfg.Q ** 2
+        self._h2 = _gram(kernel_matrix(0.0, grid.v_samples, code, cfg), w * grid.d_v)
+        self._h3 = _gram(kernel_matrix(grid.tau_samples, 0.0, code, cfg), w * grid.d_tau)
 
     def _positions(self, d) -> np.ndarray:
         d = np.asarray(d, dtype=float)
@@ -185,55 +200,56 @@ class ObjectiveEvaluator:
         sin_t = np.sin(self.grid.theta_samples)[:, None]
         return f, -(4.0 * np.pi * w / Q) * (sin_t * (rows - cols)).imag.sum(axis=0)
 
-    def _cut(self, x: np.ndarray, G: np.ndarray, d_axis: float, grad: bool):
-        """f2/f3: chi[t, p] = a(theta_t)^T G[p] conj(a(theta_t)) / Q."""
-        Q, M = self.cfg.Q, self.M
+    def _cut(self, x: np.ndarray, H: np.ndarray, grad: bool):
+        """f2/f3 through a weighted Gram matrix: sum_p |chi[t, p]|^2 w = o_t^H H o_t.
+
+        o_t = vec(a(theta_t) a(theta_t)^H); ``H`` is one of ``_h2``/``_h3`` or
+        their alpha-weighted sum, so both cuts cost one contraction.
+        """
+        M = self.M
         A = steering(self.grid.theta_f23, x)
         outer = (A[:, :, None] * A.conj()[:, None, :]).reshape(-1, M * M)
-        chi = outer @ G.T / Q
-        w = self.grid.w_theta23 * d_axis
-        f = float(w * _abs2(chi).sum())
+        K = outer * (outer.conj() @ H)
+        f = float(K.real.sum())
         if not grad:
             return f, None
-        K = (outer * (chi.conj() @ G)).reshape(-1, M, M)
+        K = K.reshape(-1, M, M)
         sin_t = np.sin(self.grid.theta_f23)[:, None]
         diff = K.sum(axis=2) - K.sum(axis=1)    # row-m minus column-m terms
-        return f, -(4.0 * np.pi * w / Q) * (sin_t * diff).imag.sum(axis=0)
-
-    def _energy(self, k: int, x: np.ndarray, grad: bool = False):
-        if k == 0:
-            return self._square(x, grad)
-        if k == 1:
-            return self._cut(x, self._g2, self.grid.d_v, grad)
-        return self._cut(x, self._g3, self.grid.d_tau, grad)
+        return f, -4.0 * np.pi * (sin_t * diff).imag.sum(axis=0)
 
     # -- objective values and gradient -------------------------------------------
 
     def f1(self, d) -> float:
         """Angular mismatch energy of the spacings ``d``."""
-        return self._energy(0, self._positions(d))[0]
+        return self._square(self._positions(d), False)[0]
 
     def f2(self, d) -> float:
         """Doppler mismatch energy of the spacings ``d``."""
-        return self._energy(1, self._positions(d))[0]
+        return self._cut(self._positions(d), self._h2, False)[0]
 
     def f3(self, d) -> float:
         """Delay mismatch energy of the spacings ``d``."""
-        return self._energy(2, self._positions(d))[0]
+        return self._cut(self._positions(d), self._h3, False)[0]
 
     def f_weighted(self, d, alpha) -> float:
-        """alpha-weighted combination; zero-weight terms are skipped entirely."""
+        """alpha-weighted combination: f2 and f3 in one contraction, zero-weight terms skipped."""
         x = self._positions(d)
-        return sum((a * self._energy(k, x)[0]
-                    for k, a in enumerate(_check_alpha(alpha)) if a > 0.0), 0.0)
+        a1, a2, a3 = _check_alpha(alpha)
+        f = a1 * self._square(x, False)[0] if a1 > 0.0 else 0.0
+        if a2 > 0.0 or a3 > 0.0:
+            f += self._cut(x, a2 * self._h2 + a3 * self._h3, False)[0]
+        return f
 
     def grad_f_weighted(self, d, alpha) -> np.ndarray:
         """Analytic gradient of f_weighted w.r.t. the M_t - 1 spacings."""
         x = self._positions(d)
+        a1, a2, a3 = _check_alpha(alpha)
         gx = np.zeros(self.M)
-        for k, a in enumerate(_check_alpha(alpha)):
-            if a > 0.0:
-                gx += a * self._energy(k, x, grad=True)[1]
+        if a1 > 0.0:
+            gx += a1 * self._square(x, True)[1]
+        if a2 > 0.0 or a3 > 0.0:
+            gx += self._cut(x, a2 * self._h2 + a3 * self._h3, True)[1]
         # x_m = d_1 + ... + d_m, so df/dd_i = sum_{m >= i} df/dx_m
         return np.cumsum(gx[::-1])[::-1][1:]
 

@@ -93,6 +93,28 @@ def test_set_overrides_config(tmp_path):
     assert data[:, 1].max() == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("key,raw", [("Q", "abc"), ("bandwidth", "abc"),
+                                     ("f_c", "xyz"), ("L", "abc")])
+def test_set_rejects_non_numeric_value(tmp_path, capsys, key, raw):
+    out = tmp_path / "out"
+    rc = main(["af", "--axis", "angular", "--set", f"{key}={raw}",
+               "--out-dir", str(out)])
+    assert rc == 2
+    assert f"error: {key}: expected a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_rejects_non_numeric_value(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"trials": "many"}))
+    out = tmp_path / "out"
+    rc = main(["detect", "--mt", "2", "--budget", "1.2", "--config", str(path),
+               "--layouts", "equidistant", "--out-dir", str(out)])
+    assert rc == 2
+    assert "error: trials: expected a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_set_requires_key_value(tmp_path, capsys):
     rc = main(["af", "--axis", "angular", "--set", "oops",
                "--out-dir", str(tmp_path)])

@@ -10,9 +10,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 from mafh import (
     AntennaLayout,
     DetectionParams,
+    FeasiblePolytope,
     FhCode,
     RadarConfig,
     ValidationError,
+    b_min,
+    build_grid,
     equidistant_layout,
     generate_fh_code,
     load_config,
@@ -21,7 +24,7 @@ from mafh import (
     random_feasible_layout,
     save_fh_code,
 )
-from mafh.model import config_to_dict
+from mafh.model import _DETECTION_KEYS, _RADAR_KEYS, config_to_dict
 
 # Seed-0 hop code for M_t=8 on the default config; regenerated values must
 # never drift, as downstream optimizer/detection expectations are frozen
@@ -94,6 +97,18 @@ def test_layout_rejects_budget_overrun():
 def test_layout_rejects_bad_shape():
     with pytest.raises(ValidationError, match="1-D"):
         AntennaLayout(d=np.zeros((2, 2)) + 0.5, L=4.0)
+
+
+def test_layout_and_aperture_share_one_tolerance(cfg):
+    # each spacing may sit 1e-9 below lambda/2, but the budget only 1e-9 in
+    # total below (M_t - 1)/2: a layout that builds works everywhere else
+    d = np.full(7, 0.5 - 0.9e-9)
+    with pytest.raises(ValidationError, match="^L: aperture"):
+        AntennaLayout(d=d, L=3.5 - 7e-9)
+    lay = AntennaLayout(d=d, L=3.5 - 0.9e-9)
+    assert build_grid(cfg, lay).n1 >= 2
+    assert b_min(lay.M_t, lay.L, 0.0) > 0
+    assert FeasiblePolytope.spacing_bounds(lay.M_t, lay.L).contains(lay.d)
 
 
 def test_layout_spacings_are_immutable(equid8):
@@ -177,6 +192,24 @@ def test_detection_params_validation():
         dataclasses.replace(det, P_fa=1e-4, trials=1000)
     with pytest.raises(ValidationError, match="^snr_grid:"):
         dataclasses.replace(det, snr_grid=())
+
+
+@pytest.mark.parametrize("key", sorted(
+    _RADAR_KEYS | _DETECTION_KEYS | {"bandwidth", "lambda", "T_w", "M_t", "L", "d"}))
+@pytest.mark.parametrize("value", ["abc", True])
+def test_parse_config_rejects_non_numeric(key, value):
+    doc = {key: value, "L": 7.0} if key in ("M_t", "d") else {key: value}
+    with pytest.raises(ValidationError, match=f"^{key}: expected"):
+        parse_config(doc)
+
+
+def test_parse_config_accepts_ints_and_floats():
+    cfg, lay, det = parse_config({"Q": 6, "K": 8.0, "f_c": 8200000000, "M_t": 4,
+                                  "L": 3, "M_r": 4.0, "snr_grid": [-10, 0.5],
+                                  "trials": 200000, "P_fa": 1e-3})
+    assert (cfg.Q, cfg.K, cfg.f_c) == (6, 8.0, 8.2e9)
+    assert lay.M_t == 4 and lay.L == 3.0
+    assert det.M_r == 4.0 and det.snr_grid == (-10.0, 0.5)
 
 
 def test_parse_config_roundtrip(cfg, equid8):

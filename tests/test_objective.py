@@ -14,6 +14,7 @@ from mafh import (
     generate_fh_code,
     random_feasible_layout,
 )
+from mafh.ambiguity import kernel_matrix, steering
 from mafh.objective import ObjectiveGrid
 
 ALPHA_CORNERS = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
@@ -29,6 +30,67 @@ def _scaled_grid(g, cfg, k1, k2, k3):
         n1=n1, n2=n2, n3=n3, theta_samples=th, v_samples=v, tau_samples=tau,
         d_theta=np.pi / n1, d_v=2 * cfg.f_max / n2 * cfg.delta_t,
         d_tau=2 * cfg.T_w / n3 / cfg.delta_t, theta_f23=th, w_theta23=np.pi / n1)
+
+
+def _pair_energy(x, theta_a, theta_b, G, w, Q):
+    """w * sum |chi|^2 over paired angles (theta_a[t], theta_b[t]) and the
+    tables G[p], with its position gradient, from every per-sample chi.
+
+    chi[t, p] = a(theta_a)^T G[p] conj(a(theta_b)) / Q.  Moving x_k turns
+    a_k by j*2*pi*sin(theta_a) and conj(a_k) by -j*2*pi*sin(theta_b), so
+    d|chi|^2/dx_k = 2 Re(conj(chi) dchi/dx_k) with the row-k and column-k
+    terms written out below.
+    """
+    A, Bc = steering(theta_a, x), steering(theta_b, x).conj()
+    chi = np.einsum("tm,pmn,tn->tp", A, G, Bc) / Q
+    rows = np.einsum("tk,pkn,tn->tpk", A, G, Bc) * np.sin(theta_a)[:, None, None]
+    cols = np.einsum("tm,pmk,tk->tpk", A, G, Bc) * np.sin(theta_b)[:, None, None]
+    dchi = 2j * np.pi / Q * (rows - cols)
+    gx = 2.0 * (chi.conj()[:, :, None] * dchi).real.sum(axis=(0, 1))
+    return w * float((np.abs(chi) ** 2).sum()), w * gx
+
+
+def _reference(ev, code, cfg, d, alpha):
+    """f_weighted and its spacing gradient from the per-sample kernel tables."""
+    g = ev.grid
+    x = np.concatenate(([0.0], np.cumsum(d)))
+    ta, tb = (t.ravel() for t in np.meshgrid(g.theta_samples, g.theta_samples,
+                                             indexing="ij"))
+    parts = [
+        _pair_energy(x, ta, tb, kernel_matrix(0.0, 0.0, code, cfg)[None],
+                     g.d_theta ** 2, cfg.Q),
+        _pair_energy(x, g.theta_f23, g.theta_f23,
+                     kernel_matrix(0.0, g.v_samples, code, cfg),
+                     g.w_theta23 * g.d_v, cfg.Q),
+        _pair_energy(x, g.theta_f23, g.theta_f23,
+                     kernel_matrix(g.tau_samples, 0.0, code, cfg),
+                     g.w_theta23 * g.d_tau, cfg.Q),
+    ]
+    f = sum(a * fk for a, (fk, _) in zip(alpha, parts))
+    gx = sum(a * gk for a, (_, gk) in zip(alpha, parts))
+    return f, np.cumsum(gx[::-1])[::-1][1:]
+
+
+@pytest.mark.parametrize("theta_eval", [None, np.pi / 3])
+@pytest.mark.parametrize("M_t,L", [(8, 7.0), (4, 3.0)])
+def test_gram_objectives_match_per_sample_reference(cfg, M_t, L, theta_eval):
+    code = generate_fh_code(cfg, M_t, seed=0)
+    lay = random_feasible_layout(M_t, L, seed=3)
+    ev = ObjectiveEvaluator(build_grid(cfg, lay, theta_eval=theta_eval), code, cfg)
+    for alpha in ALPHA_CORNERS + [(1 / 3, 1 / 3, 1 / 3), (0.0, 0.4, 0.6)]:
+        f_ref, g_ref = _reference(ev, code, cfg, lay.d, alpha)
+        assert abs(ev.f_weighted(lay.d, alpha) - f_ref) <= 1e-12 * f_ref
+        g = ev.grad_f_weighted(lay.d, alpha)
+        assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+
+
+def test_evaluator_keeps_hermitian_grams_not_tables(ev8):
+    samples = {ev8.grid.v_samples.size, ev8.grid.tau_samples.size}
+    for H in (ev8._h2, ev8._h3):
+        assert H.shape == (64, 64)
+        assert_allclose(H, H.conj().T, rtol=0, atol=1e-15 * np.abs(H).max())
+    for value in vars(ev8).values():
+        assert not samples & set(np.shape(value))
 
 
 def test_grid_sizes_default_config(cfg, equid8):
