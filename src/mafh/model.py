@@ -31,6 +31,14 @@ def _check_number(name: str, value) -> None:
         raise ValidationError(f"{name}: expected a number, got {value!r}")
 
 
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int; a whole float such as 6.0 or 1e6 counts as one."""
+    _check_number(name, value)
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ValidationError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _check_numbers(name: str, values) -> None:
     """Raise unless ``values`` is a sequence of real numbers."""
     if not np.iterable(values):
@@ -58,6 +66,8 @@ class RadarConfig:
     def __post_init__(self):
         for f in fields(self):
             _check_number(f.name, getattr(self, f.name))
+        for name in ("Q", "K"):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         if not self.Q >= 1:
             raise ValidationError(f"Q: expected Q >= 1, got {self.Q}")
         if not self.K >= 1:
@@ -204,8 +214,9 @@ class DetectionParams:
     trials: int = 1_000_000      # noise-only calibration trials (and trials per SNR)
 
     def __post_init__(self):
-        for name in ("M_r", "P_fa", "trials"):
-            _check_number(name, getattr(self, name))
+        _check_number("P_fa", self.P_fa)
+        for name in ("M_r", "trials"):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         _check_numbers("snr_grid", self.snr_grid)
         object.__setattr__(self, "snr_grid", tuple(float(s) for s in self.snr_grid))
         if not self.M_r >= 1:
@@ -312,22 +323,18 @@ def parse_config(doc: dict) -> tuple[RadarConfig, AntennaLayout | None, Detectio
     if "M_t" in doc or "d" in doc or "L" in doc:
         if "L" not in doc:
             raise ValidationError("L: required whenever layout fields are present")
-        for key in ("M_t", "L"):
-            if key in doc:
-                _check_number(key, doc[key])
+        M_t = _check_integer("M_t", doc["M_t"]) if "M_t" in doc else None
+        _check_number("L", doc["L"])
         L = float(doc["L"])
         if "d" in doc:
             _check_numbers("d", doc["d"])
             d = np.asarray(doc["d"], dtype=float)
-            if "M_t" in doc and int(doc["M_t"]) != d.size + 1:
-                raise ValidationError(
-                    f"M_t: {doc['M_t']} does not match {d.size} spacings"
-                )
+            if M_t is not None and M_t != d.size + 1:
+                raise ValidationError(f"M_t: {M_t} does not match {d.size} spacings")
             layout = AntennaLayout(d=d, L=L)
         else:
-            if "M_t" not in doc:
+            if M_t is None:
                 raise ValidationError("M_t: required when d is omitted")
-            M_t = int(doc["M_t"])
             _check_aperture(M_t, L)
             layout = AntennaLayout(d=np.full(M_t - 1, 0.5), L=L)
 

@@ -149,11 +149,10 @@ class ObjectiveEvaluator:
 
     The angular kernel table and the Doppler/delay Gram matrices depend on
     (grid, code, cfg) only, not on the weights.  They are built here, once,
-    read-only, and serve every descent and weight triple of a command,
-    concurrent ones included; f2 and f3 share one contraction per weighted
-    call.  ``d`` is not required to be feasible — the ambiguity surface is
-    defined for any positive spacings — which the finite-difference probes
-    rely on.
+    read-only, and serve every descent and weight triple of a command; f2
+    and f3 share one contraction per weighted call.  ``d`` is not required
+    to be feasible — the ambiguity surface is defined for any positive
+    spacings — which the finite-difference probes rely on.
     """
 
     def __init__(self, grid: ObjectiveGrid, code: FhCode, cfg: RadarConfig):

@@ -14,19 +14,14 @@ feasible step, so every iterate stays inside the polytope.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AntennaLayout, ValidationError, _check_aperture
+from .model import FEASIBILITY_TOL, AntennaLayout, ValidationError, _check_aperture
 from .model import equidistant_layout, random_feasible_layout
 from .objective import ObjectiveEvaluator, _check_alpha
 from .theory import mmlwd_layout
-
-# Rows within this absolute slack (wavelength units) count as active.
-ACTIVE_TOL = 1e-9
 
 # Backtracking line-search constants.
 OMEGA0 = 1.0        # first trial step
@@ -59,21 +54,21 @@ class FeasiblePolytope:
         return np.append(d - 0.5, self.L - d.sum())
 
     def contains(self, d: np.ndarray) -> bool:
-        return bool(np.all(self.slacks(d) >= -ACTIVE_TOL))
+        return bool(np.all(self.slacks(d) >= -FEASIBILITY_TOL))
 
 
 def _active_indices(d: np.ndarray, poly: FeasiblePolytope) -> np.ndarray:
-    """Rows satisfied with equality (|slack| <= ACTIVE_TOL), in row order.
+    """Rows satisfied with equality (|slack| <= FEASIBILITY_TOL), in row order.
 
     Raises if the point is infeasible beyond the tolerance.
     """
     s = poly.slacks(d)
-    if np.any(s < -ACTIVE_TOL):
+    if np.any(s < -FEASIBILITY_TOL):
         worst = int(np.argmin(s))
         raise ValidationError(
             f"d: infeasible point, constraint row {worst} violated by {-s[worst]:.3g}"
         )
-    return np.flatnonzero(np.abs(s) <= ACTIVE_TOL)
+    return np.flatnonzero(np.abs(s) <= FEASIBILITY_TOL)
 
 
 def _project(g: np.ndarray, working) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +174,7 @@ def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
     certificate = {"reason": "max-iterations", "threshold": T_threshold}
 
     # single-point polytope: nothing to optimize
-    if 0.5 * poly.n >= poly.L - ACTIVE_TOL:
+    if 0.5 * poly.n >= poly.L - FEASIBILITY_TOL:
         certificate = {"reason": "degenerate", "threshold": T_threshold,
                        "grad_norm": 0.0, "min_multiplier": None,
                        "active_count": poly.n + 1}
@@ -237,15 +232,13 @@ def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
 
 
 def _worker_count() -> int:
-    """Worker cap from MAFH_THREADS (0 or unset = automatic)."""
-    raw = os.environ.get("MAFH_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"MAFH_THREADS: expected an integer, got {raw!r}")
-    if n <= 0:
-        return min(4, os.cpu_count() or 1)
-    return n
+    """1: multistart runs its descents one after another on the calling thread.
+
+    Kept only for the benchmark's readers, ``bench/run.py:environment_stamp``
+    and ``bench/tracer.py:_multistart_attrs``; the benchmark change of
+    ROADMAP item 1 drops it.
+    """
+    return 1
 
 
 def rgpm_multistart(poly: FeasiblePolytope, ev: ObjectiveEvaluator, alpha,
@@ -254,10 +247,8 @@ def rgpm_multistart(poly: FeasiblePolytope, ev: ObjectiveEvaluator, alpha,
     """Best of several descents: equidistant, width-optimal, then random starts.
 
     M_t comes from the evaluator's code and the aperture budget L from the
-    polytope.  Returns (best result, all results).  Ties resolve to the
-    earliest start; runs are independent and share ``ev``, whose tables are
-    read-only, so threading (capped by MAFH_THREADS) does not affect the
-    outcome.
+    polytope.  The starts run in order; ties resolve to the earliest.
+    Returns (best result, all results).
     """
     if n_starts < 1:
         raise ValidationError(f"n_starts: expected at least 1, got {n_starts}")
@@ -267,16 +258,7 @@ def rgpm_multistart(poly: FeasiblePolytope, ev: ObjectiveEvaluator, alpha,
     for i in range(max(0, n_starts - 2)):
         starts.append(random_feasible_layout(M_t, L, seed + 1 + i))
     starts = starts[:n_starts]
-
-    def run(s):
-        return rgpm_optimize(s, poly, ev, alpha, K_max=K_max,
-                             T_threshold=T_threshold)
-
-    workers = min(_worker_count(), len(starts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(s) for s in starts]
+    results = [rgpm_optimize(s, poly, ev, alpha, K_max=K_max, T_threshold=T_threshold)
+               for s in starts]
     best = min(range(len(results)), key=lambda i: (results[i].f_final, i))
     return results[best], results

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from mafh import (AntennaLayout, ObjectiveEvaluator, RadarConfig, build_grid,
-                  cli, generate_fh_code, random_feasible_layout)
+                  cli, generate_fh_code, random_feasible_layout, rgpm)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -24,7 +24,6 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 @pytest.fixture
 def bench(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
-    monkeypatch.setenv("MAFH_THREADS", "4")
     import layers
     import tracer
     return tracer, layers
@@ -54,6 +53,7 @@ def test_tracer_and_layer_metrics_bind(bench, tmp_path, capsys):
     assert m["objective.f.calls"] > 0 and m["objective.grad.calls"] > 0
     assert m["rgpm.f_evals_per_iter"] > 0
     assert m["rgpm.parallel_efficiency"] > 0       # workers from _worker_count
+    assert rgpm._worker_count() == 1               # multistart runs serially
     assert m["output.write.calls"] == 1
 
 

@@ -104,6 +104,16 @@ def test_set_rejects_non_numeric_value(tmp_path, capsys, key, raw):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,raw", [("Q", "6.5"), ("Q", "2.5"), ("K", "8.5")])
+def test_set_rejects_fractional_integer_key(tmp_path, capsys, key, raw):
+    out = tmp_path / "out"
+    rc = main(["af", "--axis", "doppler", "--set", f"{key}={raw}",
+               "--out-dir", str(out)])
+    assert rc == 2
+    assert f"error: {key}: expected an integer, got {raw}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_rejects_non_numeric_value(tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"trials": "many"}))
@@ -113,6 +123,29 @@ def test_config_file_rejects_non_numeric_value(tmp_path, capsys):
     assert rc == 2
     assert "error: trials: expected a number" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_set_whole_float_integer_key_matches_plain_run(tmp_path):
+    for axis in ("angular", "doppler", "delay"):
+        assert main(["af", "--axis", axis, "--out-dir", str(tmp_path / "a")]) == 0
+        assert main(["af", "--axis", axis, "--set", "Q=6.0",
+                     "--out-dir", str(tmp_path / "b")]) == 0
+    for path in sorted((tmp_path / "a").iterdir()):
+        assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+
+
+def test_detect_set_whole_float_trials_matches_integer(tmp_path, capsys):
+    args = ["detect", "--mt", "2", "--budget", "1.2", "--layouts", "equidistant",
+            "--set", "P_fa=1e-3", "--snr=-6:0:6"]
+    assert main(args + ["--trials", "10000", "--out-dir", str(tmp_path / "a")]) == 0
+    assert main(args + ["--set", "trials=10000.0",
+                        "--out-dir", str(tmp_path / "b")]) == 0
+    for name in ("detect_equidistant.csv", "detect_compare.csv"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
+    rc = main(args + ["--set", "trials=10000.5", "--out-dir", str(tmp_path / "c")])
+    assert rc == 2
+    assert "error: trials: expected an integer" in capsys.readouterr().err
 
 
 def test_set_requires_key_value(tmp_path, capsys):

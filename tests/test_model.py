@@ -188,6 +188,8 @@ def test_detection_params_validation():
         DetectionParams(P_fa=1.0)
     with pytest.raises(ValidationError, match="^M_r:"):
         DetectionParams(M_r=0)
+    with pytest.raises(ValidationError, match="^M_r: expected an integer"):
+        DetectionParams(M_r=8.5)
     with pytest.raises(ValidationError, match="^trials:"):
         dataclasses.replace(det, P_fa=1e-4, trials=1000)
     with pytest.raises(ValidationError, match="^snr_grid:"):
@@ -210,6 +212,28 @@ def test_parse_config_accepts_ints_and_floats():
     assert (cfg.Q, cfg.K, cfg.f_c) == (6, 8.0, 8.2e9)
     assert lay.M_t == 4 and lay.L == 3.0
     assert det.M_r == 4.0 and det.snr_grid == (-10.0, 0.5)
+
+
+def test_integer_keys_store_whole_floats_as_int():
+    cfg, lay, det = parse_config({"Q": 6.0, "K": 8.0, "M_t": 4.0, "L": 3,
+                                  "M_r": 4.0, "trials": 1e6})
+    for value, want in ((cfg.Q, 6), (cfg.K, 8), (lay.M_t, 4), (det.M_r, 4),
+                        (det.trials, 1_000_000)):
+        assert type(value) is int and value == want
+    assert cfg == RadarConfig()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("Q", 2.5), ("Q", 6.5), ("K", 8.5), ("M_r", 8.5), ("trials", 100000.5),
+    ("trials", float("inf")), ("M_t", 8.7), ("M_t", 3.5)])
+def test_integer_keys_reject_fractions(key, value):
+    doc = {key: value, "L": 7.0} if key == "M_t" else {key: value}
+    with pytest.raises(ValidationError, match=f"^{key}: expected an integer"):
+        parse_config(doc)
+    if key == "M_t":
+        # also when spacings are given and M_t would truncate to their count + 1
+        with pytest.raises(ValidationError, match="^M_t: expected an integer"):
+            parse_config({"M_t": value, "d": [0.5] * int(value - 1), "L": 7.0})
 
 
 def test_parse_config_roundtrip(cfg, equid8):

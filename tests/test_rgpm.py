@@ -11,6 +11,7 @@ from mafh import (
     RadarConfig,
     ValidationError,
     build_grid,
+    equidistant_layout,
     generate_fh_code,
     mmlwd_layout,
     random_feasible_layout,
@@ -277,18 +278,17 @@ def test_multistart_start_count_and_best(small):
         rgpm_multistart(poly, ev, (1.0, 0.0))
 
 
-def test_multistart_thread_count_invariance(small, monkeypatch):
+def test_multistart_runs_documented_starts_in_order(small):
+    """Equidistant, width-optimal, then random starts seeded seed+1, seed+2."""
     ev, poly = small
-    monkeypatch.setenv("MAFH_THREADS", "1")
-    b1, _ = rgpm_multistart(poly, ev, F1, seed=3)
-    monkeypatch.setenv("MAFH_THREADS", "4")
-    b4, _ = rgpm_multistart(poly, ev, F1, seed=3)
-    assert_array_equal(b1.layout.d, b4.layout.d)
-    assert b1.f_final == b4.f_final
-
-
-def test_multistart_rejects_bad_thread_env(small, monkeypatch):
-    ev, poly = small
-    monkeypatch.setenv("MAFH_THREADS", "plenty")
-    with pytest.raises(ValidationError, match="MAFH_THREADS"):
-        rgpm_multistart(poly, ev, F1)
+    best, results = rgpm_multistart(poly, ev, F1, n_starts=4, seed=3)
+    starts = [AntennaLayout(d=equidistant_layout(2).d, L=1.2), mmlwd_layout(2, 1.2),
+              random_feasible_layout(2, 1.2, 4), random_feasible_layout(2, 1.2, 5)]
+    assert len(results) == len(starts)
+    for got, start in zip(results, starts):
+        want = rgpm_optimize(start, poly, ev, F1)
+        assert_array_equal(got.layout.d, want.layout.d)
+        assert got.f_final == want.f_final
+        assert got.certificate == want.certificate
+    f_min = min(r.f_final for r in results)
+    assert best is next(r for r in results if r.f_final == f_min)
