@@ -13,7 +13,7 @@ from .metrics import (BoundGap, DetectionCurve, LobeReport, bound_gap,
                       detection_probability, measure_lobes)
 from .model import (AntennaLayout, DetectionParams, FhCode, RadarConfig,
                     ValidationError, equidistant_layout, generate_fh_code,
-                    load_config, load_fh_code, parse_config,
+                    load_config, load_fh_code, load_layout, parse_config,
                     random_feasible_layout, save_fh_code)
 from .objective import (ObjectiveEvaluator, ObjectiveGrid, build_grid,
                         finite_diff_grad)
@@ -31,8 +31,8 @@ __all__ = [
     "detection_probability", "measure_lobes",
     "AntennaLayout", "DetectionParams", "FhCode", "RadarConfig",
     "ValidationError", "equidistant_layout", "generate_fh_code",
-    "load_config", "load_fh_code", "parse_config", "random_feasible_layout",
-    "save_fh_code",
+    "load_config", "load_fh_code", "load_layout", "parse_config",
+    "random_feasible_layout", "save_fh_code",
     "ObjectiveEvaluator", "ObjectiveGrid", "build_grid", "finite_diff_grad",
     "FeasiblePolytope", "IterRecord", "RgpmResult", "rgpm_multistart",
     "rgpm_optimize",

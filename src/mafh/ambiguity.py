@@ -289,8 +289,8 @@ def af_slice(axis: str, layout: AntennaLayout, code: FhCode, cfg: RadarConfig,
     d_lo, d_hi, matched = defaults[axis]
     lo = d_lo if lo is None else float(lo)
     hi = d_hi if hi is None else float(hi)
-    if not hi > lo:
-        raise ValidationError(f"range: expected hi > lo, got [{lo}, {hi}]")
+    if not -np.inf < lo < hi < np.inf:
+        raise ValidationError(f"range: expected finite lo < hi, got [{lo}, {hi}]")
 
     coords = np.linspace(lo, hi, n_points)
     if lo < matched < hi and not np.isclose(coords, matched, rtol=0.0, atol=1e-15).any():

@@ -23,12 +23,13 @@ from scipy import stats
 from .ambiguity import _check_pair, af_slice, matched_cut
 from .ga import GaParams, ga_optimize
 from .metrics import detection_probability
-from .model import (AntennaLayout, FhCode, ValidationError, config_to_dict,
-                    generate_fh_code, load_fh_code, parse_config,
+from .model import (AntennaLayout, FhCode, ValidationError, _check_number,
+                    _read_json, config_to_dict, equidistant_layout,
+                    generate_fh_code, load_fh_code, load_layout, parse_config,
                     random_feasible_layout)
 from .objective import ObjectiveEvaluator, _check_alpha, build_grid
 from .output import write_csv, write_json
-from .rgpm import FeasiblePolytope, rgpm_multistart
+from .rgpm import FeasiblePolytope, _check_descent, rgpm_multistart
 from .theory import b_min, delay_lower_bound, doppler_lower_bound, mmlwd_layout
 
 THETA_EVAL_DEFAULT = math.pi / 3   # fast single-angle mode for f2/f3
@@ -52,51 +53,32 @@ def _parse_overrides(pairs) -> dict:
 
 
 def _load_manifest(args):
-    """(cfg, config layout or None, det) after file + --set overrides."""
-    doc = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ValidationError("configuration document must be a JSON object")
-        doc.update(loaded)
+    """(cfg, config layout or None, det, M_t, L) from --config and --set.
+
+    --mt and --budget give M_t and L, falling back to the config layout,
+    then to 8 and 7.0.
+    """
+    doc = _read_json(args.config, dict) if args.config else {}
     doc.update(_parse_overrides(args.set))
-    return parse_config(doc)
-
-
-def _geometry(args, cfg_layout) -> tuple[int, float]:
-    """(M_t, L) from flags, falling back to the config layout, then 8 / 7.0."""
-    M_t = args.mt if args.mt is not None else \
-        (cfg_layout.M_t if cfg_layout is not None else 8)
-    L = args.budget if args.budget is not None else \
-        (cfg_layout.L if cfg_layout is not None else 7.0)
-    return int(M_t), float(L)
-
-
-def _equidistant_budget(M_t: int, L: float) -> AntennaLayout:
-    """Half-wavelength spacings carried inside the requested budget."""
-    return AntennaLayout(d=np.full(M_t - 1, 0.5), L=max(L, 0.5 * (M_t - 1)))
+    cfg, cfg_layout, det = parse_config(doc)
+    M_t, L = (8, 7.0) if cfg_layout is None else (cfg_layout.M_t, cfg_layout.L)
+    M_t = M_t if args.mt is None else args.mt
+    L = L if args.budget is None else args.budget
+    _check_number("L", L)
+    return cfg, cfg_layout, det, M_t, float(L)
 
 
 def _resolve_layout(name, M_t: int, L: float, cfg_layout, seed: int) -> AntennaLayout:
-    if name is None:
-        if cfg_layout is not None and cfg_layout.d.size + 1 == M_t:
-            return cfg_layout
-        return _equidistant_budget(M_t, L)
-    if name == "equidistant":
-        return _equidistant_budget(M_t, L)
+    if name is None and cfg_layout is not None and cfg_layout.M_t == M_t:
+        return cfg_layout
+    if name in (None, "equidistant"):   # half-wavelength spacings, budget lifted to fit
+        return equidistant_layout(M_t, max(L, 0.5 * (M_t - 1)))
     if name == "mmlwd":
         return mmlwd_layout(M_t, L)
     if name == "random":
         return random_feasible_layout(M_t, L, seed)
     if name.startswith("file:"):
-        path = name[len("file:"):]
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict) or "d" not in doc:
-            raise ValidationError(f"layout file {path}: expected an object with 'd'")
-        d = np.asarray(doc["d"], dtype=float)
-        return AntennaLayout(d=d, L=float(doc.get("L", d.sum())))
+        return load_layout(name[len("file:"):])
     raise ValidationError(
         f"--layout: expected equidistant|mmlwd|random|file:PATH, got {name!r}"
     )
@@ -110,6 +92,34 @@ def _code_for(args, cfg, M_t: int):
             raise ValidationError(f"code file has {code.M_t} rows, need at least {M_t}")
         return FhCode(c=code.c[:M_t])
     return generate_fh_code(cfg, M_t, args.seed)
+
+
+def _optimizer(args, cfg, code: FhCode, M_t: int, L: float):
+    """(ref, ev, run): grid reference layout, evaluator and the --method optimizer.
+
+    The optimizer flags are checked before the evaluator builds its kernel
+    tables; the grid is sized for the equidistant array ``ref``.
+    ``run(alpha)`` returns (best result, per-start results); GA runs once,
+    so its per-start list is None.  Either result carries the final ``layout``.
+    """
+    if args.method == "rgpm":
+        _check_descent(args.starts, args.kmax, args.threshold)
+    else:
+        params = GaParams(generations=args.generations,
+                          population=args.population, seed=args.seed)
+    ref = _resolve_layout("equidistant", M_t, L, None, args.seed)
+    grid = build_grid(cfg, ref, theta_eval=args.theta_eval)
+    poly = FeasiblePolytope.spacing_bounds(M_t, L)
+    ev = ObjectiveEvaluator(grid, code, cfg)
+
+    def run(alpha):
+        if args.method == "rgpm":
+            return rgpm_multistart(poly, ev, alpha, n_starts=args.starts,
+                                   seed=args.seed, K_max=args.kmax,
+                                   T_threshold=args.threshold)
+        return ga_optimize(poly, ev, alpha, params), None
+
+    return ref, ev, run
 
 
 def _parse_alpha(text: str):
@@ -136,8 +146,7 @@ def _db(values, peak: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cmd_af(args) -> int:
-    cfg, cfg_layout, det = _load_manifest(args)
-    M_t, L = _geometry(args, cfg_layout)
+    cfg, cfg_layout, det, M_t, L = _load_manifest(args)
     layout = _resolve_layout(args.layout, M_t, L, cfg_layout, args.seed)
     code = _code_for(args, cfg, layout.M_t)
     s = af_slice(args.axis, layout, code, cfg, theta=args.theta,
@@ -187,8 +196,7 @@ def _sweep_rows(kind: str, M_t: int, L: float, theta: float, lo, hi, points):
 
 
 def cmd_theory(args) -> int:
-    cfg, cfg_layout, det = _load_manifest(args)
-    M_t, L = _geometry(args, cfg_layout)
+    cfg, cfg_layout, det, M_t, L = _load_manifest(args)
     out = _out_dir(args)
     doc = config_to_dict(cfg, None, det)
     doc.update({"M_t": M_t, "L": L})
@@ -215,10 +223,12 @@ def cmd_theory(args) -> int:
     code = _code_for(args, cfg, M_t)
     if args.bound == "doppler":
         vmax = args.vmax if args.vmax is not None else cfg.f_max
+        _check_number("vmax", vmax)
         coords = np.linspace(-vmax, vmax, args.points)
         bound = doppler_lower_bound(coords, code, cfg, M_t)
     else:
         tmax = args.tau_max if args.tau_max is not None else cfg.T_w
+        _check_number("tau_max", tmax)
         coords = np.linspace(-tmax, tmax, args.points)
         bound = delay_lower_bound(coords, code, cfg, M_t)
 
@@ -252,33 +262,13 @@ def _objective_record(ev: ObjectiveEvaluator, alpha, layout: AntennaLayout) -> d
     }
 
 
-def _run_optimizer(args, poly: FeasiblePolytope, ev: ObjectiveEvaluator, alpha):
-    """(best result, per-start results) of the --method optimizer.
-
-    GA runs once, so its per-start list is None.  Either result carries the
-    final ``layout``.
-    """
-    if args.method == "rgpm":
-        return rgpm_multistart(poly, ev, alpha, n_starts=args.starts,
-                               seed=args.seed, K_max=args.kmax,
-                               T_threshold=args.threshold)
-    params = GaParams(generations=args.generations,
-                      population=args.population, seed=args.seed)
-    return ga_optimize(poly, ev, alpha, params), None
-
-
 def cmd_optimize(args) -> int:
-    cfg, cfg_layout, det = _load_manifest(args)
-    M_t, L = _geometry(args, cfg_layout)
+    cfg, _, det, M_t, L = _load_manifest(args)
     alpha = _parse_alpha(args.alpha)
     code = _code_for(args, cfg, M_t)
-    ref = _equidistant_budget(M_t, L)
-    grid = build_grid(cfg, ref, theta_eval=args.theta_eval)
-    poly = FeasiblePolytope.spacing_bounds(M_t, L)
+    ref, ev, run = _optimizer(args, cfg, code, M_t, L)
+    best, runs = run(alpha)
     out = _out_dir(args)
-    ev = ObjectiveEvaluator(grid, code, cfg)
-
-    best, runs = _run_optimizer(args, poly, ev, alpha)
     final = best.layout
     doc = config_to_dict(cfg, final, det)
     if args.method == "rgpm":
@@ -328,35 +318,23 @@ def _simplex_weights(resolution: int):
 
 
 def cmd_tradeoff(args) -> int:
-    cfg, cfg_layout, det = _load_manifest(args)
-    M_t, L = _geometry(args, cfg_layout)
+    cfg, _, det, M_t, L = _load_manifest(args)
+    weights = _simplex_weights(args.resolution)
     code = _code_for(args, cfg, M_t)
-    poly = FeasiblePolytope.spacing_bounds(M_t, L)
-    ref = _equidistant_budget(M_t, L)
-    out = _out_dir(args)
-    ev = ObjectiveEvaluator(build_grid(cfg, ref, theta_eval=args.theta_eval), code, cfg)
+    ref, ev, run = _optimizer(args, cfg, code, M_t, L)
+    rows = [(alpha, _objective_record(ev, alpha, run(alpha)[0].layout))
+            for alpha in weights]
 
-    rows = []
-    for alpha in _simplex_weights(args.resolution):
-        best, _ = _run_optimizer(args, poly, ev, alpha)
-        rows.append((alpha, _objective_record(ev, alpha, best.layout)))
-
-    f1s = np.array([r["f1"] for _, r in rows])
-    f2s = np.array([r["f2"] for _, r in rows])
-    f3s = np.array([r["f3"] for _, r in rows])
-    corr = {
-        "spearman_f1_f3": float(stats.spearmanr(f1s, f3s).statistic),
-        "spearman_f1_f2": float(stats.spearmanr(f1s, f2s).statistic),
-        "spearman_f2_f3": float(stats.spearmanr(f2s, f3s).statistic),
-    }
+    fs = {k: np.array([r[k] for _, r in rows]) for k in ("f1", "f2", "f3")}
+    corr = {f"spearman_{a}_{b}": float(stats.spearmanr(fs[a], fs[b]).statistic)
+            for a, b in (("f1", "f3"), ("f1", "f2"), ("f2", "f3"))}
     doc = config_to_dict(cfg, ref, det)
-    path = out / "tradeoff.csv"
+    path = _out_dir(args) / "tradeoff.csv"
     write_csv(path, {
         "a1": [a[0] for a, _ in rows],
         "a2": [a[1] for a, _ in rows],
         "a3": [a[2] for a, _ in rows],
-        "f1": f1s, "f2": f2s, "f3": f3s,
-        "f": [r["f"] for _, r in rows],
+        **fs, "f": [r["f"] for _, r in rows],
     }, doc, seed=args.seed,
         extra={"resolution": args.resolution, "method": args.method, **corr})
     print(f"tradeoff: wrote {path} ({len(rows)} rows)")
@@ -364,24 +342,17 @@ def cmd_tradeoff(args) -> int:
 
 
 def _parse_snr(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValidationError(f"--snr expects from:to:step, got {text!r}")
-    lo, hi, step = (float(p) for p in parts)
-    if step <= 0 or hi < lo:
+    try:
+        lo, hi, step = (float(p) for p in text.split(":"))
+    except ValueError:
+        raise ValidationError(f"--snr expects from:to:step, got {text!r}") from None
+    if not (-math.inf < lo <= hi < math.inf and 0 < step < math.inf):
         raise ValidationError(f"--snr: expected from <= to and step > 0, got {text!r}")
     return tuple(np.arange(lo, hi + 0.5 * step, step))
 
 
-def _layout_label(name: str) -> str:
-    if name.startswith("file:"):
-        return Path(name[len("file:"):]).stem
-    return name
-
-
 def cmd_detect(args) -> int:
-    cfg, cfg_layout, det = _load_manifest(args)
-    M_t, L = _geometry(args, cfg_layout)
+    cfg, cfg_layout, det, M_t, L = _load_manifest(args)
     # one replace: DetectionParams checks itself, and a partial override can be invalid
     overrides = {"P_fa": args.pfa, "trials": args.trials,
                  "snr_grid": None if args.snr is None else _parse_snr(args.snr)}
@@ -391,7 +362,8 @@ def cmd_detect(args) -> int:
     names = [n.strip() for n in args.layouts.split(",") if n.strip()]
     if not names:
         raise ValidationError("--layouts: expected a comma-separated list")
-    labels = [_layout_label(n) for n in names]
+    labels = [Path(n[len("file:"):]).stem if n.startswith("file:") else n
+              for n in names]
     for label in labels:
         if labels.count(label) > 1:
             raise ValidationError(f"--layouts: label {label!r} appears more than once")
@@ -402,11 +374,8 @@ def cmd_detect(args) -> int:
         _check_pair(layout, code, cfg)
     if "optimized" in names:
         alpha = _parse_alpha(args.alpha)
-        grid = build_grid(cfg, _equidistant_budget(M_t, L), theta_eval=args.theta_eval)
-        poly = FeasiblePolytope.spacing_bounds(M_t, L)
-        best, _ = _run_optimizer(args, poly, ObjectiveEvaluator(grid, code, cfg),
-                                 alpha)
-        layouts["optimized"] = best.layout
+        _, _, run = _optimizer(args, cfg, code, M_t, L)
+        layouts["optimized"] = run(alpha)[0].layout
 
     out = _out_dir(args)
     curves = {}
@@ -422,13 +391,10 @@ def cmd_detect(args) -> int:
         })
         curves[label] = curve
 
-    first = curves[next(iter(curves))]
-    cols = {"snr_db": first.snr_db}
-    for label, curve in curves.items():
-        cols[f"p_d_{label}"] = curve.p_d
-    doc = config_to_dict(cfg, None, det)
+    cols = {"snr_db": det.snr_grid}
+    cols.update({f"p_d_{label}": c.p_d for label, c in curves.items()})
     path = out / "detect_compare.csv"
-    write_csv(path, cols, doc, seed=args.seed,
+    write_csv(path, cols, config_to_dict(cfg, None, det), seed=args.seed,
               extra={"layouts": ";".join(curves)})
     print(f"detect: wrote {path}")
     return 0
@@ -545,9 +511,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

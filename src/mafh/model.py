@@ -26,25 +26,29 @@ class ValidationError(ValueError):
 
 
 def _check_number(name: str, value) -> None:
-    """Raise unless ``value`` is a real number; a bool or a string is not one."""
+    """Raise unless ``value`` is a finite real number; a bool or a string is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name}: expected a number, got {value!r}")
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise ValidationError(f"{name}: expected a finite number, got {value!r}")
 
 
 def _check_integer(name: str, value) -> int:
     """``value`` as an int; a whole float such as 6.0 or 1e6 counts as one."""
-    _check_number(name, value)
-    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+    if (isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral)
+            and not float(value).is_integer()):      # also inf and NaN
         raise ValidationError(f"{name}: expected an integer, got {value!r}")
+    _check_number(name, value)
     return int(value)
 
 
-def _check_numbers(name: str, values) -> None:
-    """Raise unless ``values`` is a sequence of real numbers."""
+def _check_numbers(name: str, values) -> np.ndarray:
+    """``values`` as a float array; raise unless it is a sequence of finite numbers."""
     if not np.iterable(values):
         raise ValidationError(f"{name}: expected a list of numbers, got {values!r}")
     for value in values:
         _check_number(name, value)
+    return np.asarray(values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -113,15 +117,17 @@ def _close(a: float, b: float, rel: float = 1e-12) -> bool:
 
 
 def _check_angle(name: str, angle: float) -> None:
-    """Raise unless |angle| <= pi/2, with 1e-12 rad of slack for roundoff."""
-    if abs(angle) > 0.5 * math.pi + 1e-12:
+    """Raise unless |angle| <= pi/2, with 1e-12 rad of slack for roundoff; NaN fails."""
+    if not abs(angle) <= 0.5 * math.pi + 1e-12:
         raise ValidationError(f"{name}: expected |angle| <= pi/2, got {angle}")
 
 
 def _check_aperture(M_t: int, L: float) -> None:
-    """Raise unless M_t >= 2 elements fit in budget L at lambda/2 spacings."""
+    """Raise unless M_t >= 2 elements fit in a finite budget L at lambda/2 spacings."""
     if M_t < 2:
         raise ValidationError(f"M_t: expected M_t >= 2, got {M_t}")
+    if not math.isfinite(L):
+        raise ValidationError(f"L: expected a finite aperture, got {L}")
     if L < 0.5 * (M_t - 1) - FEASIBILITY_TOL:
         raise ValidationError(
             f"L: aperture {L} cannot fit {M_t - 1} spacings of at least lambda/2"
@@ -257,10 +263,13 @@ def generate_fh_code(cfg: RadarConfig, M_t: int, seed: int) -> FhCode:
     return FhCode(c=np.stack(cols, axis=1))
 
 
-def equidistant_layout(M_t: int) -> AntennaLayout:
-    """Half-wavelength uniform array; the aperture budget equals its span."""
-    L = 0.5 * (M_t - 1)
-    _check_aperture(M_t, L)
+def equidistant_layout(M_t: int, L: float | None = None) -> AntennaLayout:
+    """Half-wavelength uniform array in budget L (default: its span, so M_t >= 2)."""
+    if L is None:
+        L = 0.5 * (M_t - 1)
+        _check_aperture(M_t, L)
+    elif not M_t >= 1:
+        raise ValidationError(f"M_t: expected M_t >= 1, got {M_t}")
     return AntennaLayout(d=np.full(M_t - 1, 0.5), L=L)
 
 
@@ -327,29 +336,49 @@ def parse_config(doc: dict) -> tuple[RadarConfig, AntennaLayout | None, Detectio
         _check_number("L", doc["L"])
         L = float(doc["L"])
         if "d" in doc:
-            _check_numbers("d", doc["d"])
-            d = np.asarray(doc["d"], dtype=float)
+            d = _check_numbers("d", doc["d"])
             if M_t is not None and M_t != d.size + 1:
                 raise ValidationError(f"M_t: {M_t} does not match {d.size} spacings")
             layout = AntennaLayout(d=d, L=L)
+        elif M_t is None:
+            raise ValidationError("M_t: required when d is omitted")
         else:
-            if M_t is None:
-                raise ValidationError("M_t: required when d is omitted")
-            _check_aperture(M_t, L)
-            layout = AntennaLayout(d=np.full(M_t - 1, 0.5), L=L)
+            layout = equidistant_layout(M_t, L)
 
     det_kwargs = {k: doc[k] for k in _DETECTION_KEYS if k in doc}
     det = DetectionParams(**det_kwargs)
     return cfg, layout, det
 
 
+def _read_json(path: str | Path, kind: type):
+    """The JSON ``kind`` (dict or list) in file ``path``: the package's one input reader."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:    # ValueError: bad JSON or bad UTF-8
+        raise ValidationError(f"{path}: cannot read a JSON document ({exc})") from None
+    if not isinstance(doc, kind):
+        raise ValidationError(
+            f"{path}: expected a JSON {'object' if kind is dict else 'array'}")
+    return doc
+
+
 def load_config(path: str | Path) -> tuple[RadarConfig, AntennaLayout | None, DetectionParams]:
     """Parse a JSON configuration file.  See :func:`parse_config`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValidationError("configuration document must be a JSON object")
-    return parse_config(doc)
+    return parse_config(_read_json(path, dict))
+
+
+def load_layout(path: str | Path) -> AntennaLayout:
+    """Layout file: a JSON object with spacings "d" and budget "L" (default
+    sum(d)) in wavelengths; other keys, as in ``mafh optimize``'s layout.json,
+    are ignored."""
+    doc = _read_json(path, dict)
+    if "d" not in doc:
+        raise ValidationError(f"d: required in layout file {path}")
+    d = _check_numbers("d", doc["d"])
+    L = doc.get("L", d.sum())
+    _check_number("L", L)
+    return AntennaLayout(d=d, L=float(L))
 
 
 def config_to_dict(cfg: RadarConfig, layout: AntennaLayout | None = None,
@@ -377,10 +406,11 @@ def save_fh_code(code: FhCode, path: str | Path) -> None:
 
 
 def load_fh_code(path: str | Path, cfg: RadarConfig | None = None) -> FhCode:
-    """Load a hop-code matrix from JSON; validate ranges against ``cfg`` if given."""
-    with open(path, "r", encoding="utf-8") as fh:
-        mat = json.load(fh)
-    code = FhCode(c=np.asarray(mat, dtype=int))
+    """Load a hop-code matrix (JSON rows of whole numbers); check it against ``cfg`` if given."""
+    mat = _read_json(path, list)
+    if not all(isinstance(row, list) and len(row) == len(mat[0]) for row in mat):
+        raise ValidationError(f"c: expected a matrix of equal-length rows in {path}")
+    code = FhCode(c=[[_check_integer("c", v) for v in row] for row in mat])
     if cfg is not None:
         _check_code_fit(code, cfg)
     return code

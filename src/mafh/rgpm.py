@@ -148,6 +148,16 @@ class RgpmResult:
     f_final: float
 
 
+def _check_descent(n_starts: int, K_max: int, T_threshold: float) -> None:
+    """Raise unless the start count, iteration cap and threshold can run."""
+    if n_starts < 1:
+        raise ValidationError(f"n_starts: expected at least 1, got {n_starts}")
+    if K_max < 1:
+        raise ValidationError(f"K_max: expected at least 1, got {K_max}")
+    if not 0 < T_threshold < np.inf:
+        raise ValidationError(f"T_threshold: expected finite > 0, got {T_threshold}")
+
+
 def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
                   ev: ObjectiveEvaluator, alpha, K_max: int = 150,
                   T_threshold: float = 1e-2) -> RgpmResult:
@@ -158,10 +168,7 @@ def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
     or after ``K_max`` iterations, or on a line-search stall (best-so-far
     point is returned with ``stalled=True``).
     """
-    if K_max < 1:
-        raise ValidationError(f"K_max: expected at least 1, got {K_max}")
-    if not T_threshold > 0:
-        raise ValidationError(f"T_threshold: expected > 0, got {T_threshold}")
+    _check_descent(1, K_max, T_threshold)
     alpha = _check_alpha(alpha)
     d = np.asarray(d0.d, dtype=float).copy()
     if not poly.contains(d):
@@ -250,11 +257,10 @@ def rgpm_multistart(poly: FeasiblePolytope, ev: ObjectiveEvaluator, alpha,
     polytope.  The starts run in order; ties resolve to the earliest.
     Returns (best result, all results).
     """
-    if n_starts < 1:
-        raise ValidationError(f"n_starts: expected at least 1, got {n_starts}")
+    _check_descent(n_starts, K_max, T_threshold)
     alpha = _check_alpha(alpha)
     M_t, L = ev.M, poly.L
-    starts = [AntennaLayout(d=equidistant_layout(M_t).d, L=L), mmlwd_layout(M_t, L)]
+    starts = [equidistant_layout(M_t, L), mmlwd_layout(M_t, L)]
     for i in range(max(0, n_starts - 2)):
         starts.append(random_feasible_layout(M_t, L, seed + 1 + i))
     starts = starts[:n_starts]

@@ -466,6 +466,89 @@ def test_config_file_round_trip(tmp_path):
     assert data[:, 1].max() == pytest.approx(2.0, abs=1e-9)  # M_t from layout
 
 
+_AF = ["af", "--axis", "doppler", "--mt", "2", "--budget", "1.2", "--points", "17"]
+# case -> ((file name, text, or None for a directory) or None, argv); {f} is the file
+_MALFORMED = {
+    "config-bad-json": (("cfg.json", '{"Q": 4,'), _AF + ["--config", "{f}"]),
+    "config-directory": (("cfg", None), _AF + ["--config", "{f}"]),
+    "code-bad-json": (("code.json", "[[1, 2, 3, 4, 5, 6],"), _AF + ["--code", "{f}"]),
+    "code-ragged": (("code.json", "[[1, 2, 3, 4, 5, 6], [2, 3]]"),
+                    _AF + ["--code", "{f}"]),
+    "code-non-numeric": (("code.json", '[["a", 2, 3, 4, 5, 6], [2, 3, 4, 5, 6, 7]]'),
+                         _AF + ["--code", "{f}"]),
+    # 3.5 used to be truncated to 3, giving the same output as the integer code
+    "code-fractional": (("code.json", "[[1, 2, 3, 4, 5, 6], [2, 3.5, 4, 5, 6, 7]]"),
+                        _AF + ["--code", "{f}"]),
+    "layout-bad-json": (("lay.json", '{"d": [0.7],'), _AF + ["--layout", "file:{f}"]),
+    "layout-d-non-numeric": (("lay.json", '{"d": ["a", 1]}'),
+                             _AF + ["--layout", "file:{f}"]),
+    "layout-L-non-numeric": (("lay.json", '{"d": [0.7], "L": "x"}'),
+                             _AF + ["--layout", "file:{f}"]),
+    # true used to be read as L = 1.0
+    "layout-L-bool": (("lay.json", '{"d": [0.7], "L": true}'),
+                      _AF + ["--layout", "file:{f}"]),
+    "snr-non-numeric": (None, ["detect", "--layouts", "equidistant", "--snr", "a:b:c"]),
+    "theta-nan": (None, _AF + ["--theta", "nan"]),
+    "range-inf": (None, _AF + ["--hi", "inf"]),
+    "f_c-inf": (None, _AF + ["--set", "f_c=Infinity"]),
+    "budget-inf": (None, ["af", "--axis", "doppler", "--budget", "inf"]),
+    "mt-zero": (None, ["af", "--axis", "doppler", "--mt", "0"]),
+    "f_max-inf": (None, ["optimize", "--set", "f_max=Infinity"]),
+    "threshold-inf": (None, ["optimize", "--mt", "2", "--budget", "1.2",
+                             "--threshold", "inf"]),
+    "vmax-inf": (None, ["theory", "--bound", "doppler", "--vmax", "inf"]),
+    "tau-max-nan": (None, ["theory", "--bound", "delay", "--tau-max", "nan"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_input_exits_2_and_writes_nothing(tmp_path, capsys, case):
+    spec, argv = _MALFORMED[case]
+    path = tmp_path / "input"
+    if spec is not None:
+        name, text = spec
+        path = tmp_path / name
+        path.mkdir() if text is None else path.write_text(text)
+    out = tmp_path / "out"
+    rc = main([a.replace("{f}", str(path)) for a in argv] + ["--out-dir", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("flags", [
+    ["--resolution", "0"], ["--starts", "0"], ["--kmax", "0"],
+    ["--threshold", "0"], ["--theta-eval", "nan"],
+    ["--method", "ga", "--generations", "0"], ["--method", "ga", "--population", "1"],
+])
+def test_tradeoff_checks_flags_before_building_tables(tmp_path, capsys, monkeypatch,
+                                                      flags):
+    def no_tables(*args, **kwargs):
+        raise AssertionError("kernel tables built before the flags were checked")
+
+    monkeypatch.setattr(mafh.cli, "ObjectiveEvaluator", no_tables)
+    out = tmp_path / "out"
+    rc = main(["tradeoff", "--mt", "2", "--budget", "1.2"] + flags
+              + ["--out-dir", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_optimize_layout_file_feeds_af(tmp_path):
+    opt = tmp_path / "opt"
+    assert main(["optimize", "--mt", "4", "--budget", "2.5", "--starts", "2",
+                 "--theta-eval", "--out-dir", str(opt)]) == 0
+    saved = json.loads((opt / "layout.json").read_text())
+    rc = main(["af", "--axis", "angular", "--layout", f"file:{opt / 'layout.json'}",
+               "--points", "33", "--out-dir", str(tmp_path / "af")])
+    assert rc == 0
+    header = (tmp_path / "af" / "af_angular.csv").read_text()
+    lay = mafh.AntennaLayout(d=np.array(saved["d"]), L=saved["L"])
+    want = mafh.model.config_to_dict(RadarConfig(), lay, mafh.DetectionParams())
+    assert f"# config_hash={mafh.output.config_hash(want)}" in header
+
+
 def _output_imports(path):
     """Names a module imports from ``mafh.output`` (``output`` for the module)."""
     names = []
@@ -489,3 +572,35 @@ def test_only_the_cli_writes_files():
             users[path.name] = names
     assert users.pop("__init__.py") == ["__version__"]
     assert list(users) == ["cli.py"]
+
+
+def _file_reads(path):
+    """Line numbers of ``path`` that read a file: json.load, np.load*, Path.read_*,
+    or open() in a mode without w, a or x."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        if name == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"
+            reads = not set(mode) & set("wax")
+        else:
+            reads = name in ("load", "loadtxt", "genfromtxt", "fromfile",
+                             "read_text", "read_bytes")
+        if reads:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_model_reads_files():
+    """Input documents have one reader: model._read_json."""
+    readers = {}
+    for path in sorted(Path(mafh.__file__).parent.glob("*.py")):
+        lines = _file_reads(path)
+        if lines:
+            readers[path.name] = lines
+    assert list(readers) == ["model.py"]
+    assert len(readers["model.py"]) == 2    # one open() and one json.load

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mafh import (
     generate_fh_code,
     load_config,
     load_fh_code,
+    load_layout,
     parse_config,
     random_feasible_layout,
     save_fh_code,
@@ -159,6 +161,35 @@ def test_equidistant_layout():
         equidistant_layout(1)
 
 
+def test_equidistant_layout_in_a_given_budget():
+    lay = equidistant_layout(4, 2.0)
+    assert_allclose(lay.d, np.full(3, 0.5))
+    assert lay.L == 2.0
+    single = equidistant_layout(1, 3.0)     # a single element fits any budget
+    assert single.M_t == 1 and single.L == 3.0
+    for M_t, L, match in ((0, 3.0, "^M_t: expected M_t >= 1"),
+                          (4, 1.0, "^L: aperture 1.0 cannot fit"),
+                          (4, math.inf, "^L: expected a finite aperture")):
+        with pytest.raises(ValidationError, match=match):
+            equidistant_layout(M_t, L)
+
+
+def test_load_layout(tmp_path):
+    path = tmp_path / "lay.json"
+    path.write_text(json.dumps({"d": [0.5, 1.25], "M_t": 3, "objective": {}}))
+    lay = load_layout(path)                 # L defaults to sum(d); other keys ignored
+    assert_array_equal(lay.d, [0.5, 1.25])
+    assert lay.L == 1.75
+    for doc, match in (({"L": 2.0}, "^d: required"),
+                       ({"d": 0.5}, "^d: expected a list"),
+                       ({"d": [0.5, None]}, "^d: expected a number"),
+                       ({"d": [0.5], "L": False}, "^L: expected a number"),
+                       ({"d": [0.5], "L": 1e999}, "^L: expected a finite number")):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=match):
+            load_layout(path)
+
+
 def test_random_feasible_layout_deterministic():
     a = random_feasible_layout(8, 7.0, seed=3)
     b = random_feasible_layout(8, 7.0, seed=3)
@@ -198,7 +229,7 @@ def test_detection_params_validation():
 
 @pytest.mark.parametrize("key", sorted(
     _RADAR_KEYS | _DETECTION_KEYS | {"bandwidth", "lambda", "T_w", "M_t", "L", "d"}))
-@pytest.mark.parametrize("value", ["abc", True])
+@pytest.mark.parametrize("value", ["abc", True, math.inf, math.nan])
 def test_parse_config_rejects_non_numeric(key, value):
     doc = {key: value, "L": 7.0} if key in ("M_t", "d") else {key: value}
     with pytest.raises(ValidationError, match=f"^{key}: expected"):
@@ -295,3 +326,35 @@ def test_load_fh_code_validates_against_config(tmp_path, cfg):
     save_fh_code(FhCode(c=np.full((1, 6), 9)), path)
     with pytest.raises(ValidationError, match="exceeds K"):
         load_fh_code(path, cfg)
+
+
+@pytest.mark.parametrize("text,match", [
+    ("[[1, 2], [2, 3.5]]", "^c: expected an integer, got 3.5"),
+    ("[[1, 2], [2, true]]", "^c: expected a number"),
+    ("[[1, 2], [2]]", "^c: expected a matrix"),
+    ("[1, 2]", "^c: expected a matrix"),
+    ('{"c": [[1, 2]]}', "expected a JSON array$"),
+    ("[[1, 2],", "cannot read a JSON document"),
+])
+def test_load_fh_code_requires_an_integer_matrix(tmp_path, text, match):
+    path = tmp_path / "code.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=match):
+        load_fh_code(path)
+
+
+def test_load_fh_code_keeps_whole_floats(tmp_path):
+    path = tmp_path / "code.json"
+    path.write_text("[[1, 2.0], [2, 1]]")
+    assert_array_equal(load_fh_code(path).c, [[1, 2], [2, 1]])
+
+
+@pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir(),
+                                  lambda p: p.write_bytes(b"\xff\xfe{")],
+                         ids=["missing", "directory", "not-utf8"])
+def test_readers_reject_unreadable_files(tmp_path, make):
+    path = tmp_path / "in.json"
+    make(path)
+    for load in (load_config, load_fh_code, load_layout):
+        with pytest.raises(ValidationError, match="cannot read a JSON document"):
+            load(path)

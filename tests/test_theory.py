@@ -78,7 +78,7 @@ def test_b_min_rejects_apertures_the_array_cannot_fit(M_t, L):
         b_min(M_t, L, 0.0)
 
 
-@pytest.mark.parametrize("theta", [2.5, -2.5, math.pi / 2 + 1e-9])
+@pytest.mark.parametrize("theta", [2.5, -2.5, math.pi / 2 + 1e-9, math.nan])
 def test_b_min_rejects_angles_past_endfire(theta):
     # sin(pi - theta) = sin(theta): without the check 2.5 rad returns the
     # width at pi - 2.5
