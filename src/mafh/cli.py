@@ -33,6 +33,7 @@ from .rgpm import FeasiblePolytope, _check_descent, rgpm_multistart
 from .theory import b_min, delay_lower_bound, doppler_lower_bound, mmlwd_layout
 
 THETA_EVAL_DEFAULT = math.pi / 3   # fast single-angle mode for f2/f3
+SNR_POINTS_MAX = 10_000            # each point costs ``trials`` draws
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +132,10 @@ def _parse_alpha(text: str):
 
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"--out-dir: cannot create {out} ({exc})") from None
     return out
 
 
@@ -348,6 +352,10 @@ def _parse_snr(text: str):
         raise ValidationError(f"--snr expects from:to:step, got {text!r}") from None
     if not (-math.inf < lo <= hi < math.inf and 0 < step < math.inf):
         raise ValidationError(f"--snr: expected from <= to and step > 0, got {text!r}")
+    count = np.ceil((hi - lo) / step + 0.5)    # the points np.arange yields
+    if count > SNR_POINTS_MAX:
+        raise ValidationError(f"--snr: {count:.6g} points, expected at most "
+                              f"{SNR_POINTS_MAX}, got {text!r}")
     return tuple(np.arange(lo, hi + 0.5 * step, step))
 
 
@@ -378,24 +386,21 @@ def cmd_detect(args) -> int:
         layouts["optimized"] = run(alpha)[0].layout
 
     out = _out_dir(args)
-    curves = {}
+    # |chi(0,0,0,0)| and the draws do not depend on the layout: one curve serves all
+    curve = detection_probability(layouts[names[0]], code, cfg, det, seed=args.seed)
     for name, label in zip(names, labels):
-        curve = detection_probability(layouts[name], code, cfg, det, seed=args.seed)
-        doc = config_to_dict(cfg, layouts[name], det)
         write_csv(out / f"detect_{label}.csv", {
             "snr_db": curve.snr_db, "p_d": curve.p_d,
             "ci_low": curve.ci_low, "ci_high": curve.ci_high,
-        }, doc, seed=args.seed, extra={
+        }, config_to_dict(cfg, layouts[name], det), seed=args.seed, extra={
             "threshold": curve.threshold, "pfa_target": curve.pfa_target,
             "pfa_measured": curve.pfa_measured, "trials": curve.trials,
         })
-        curves[label] = curve
 
-    cols = {"snr_db": det.snr_grid}
-    cols.update({f"p_d_{label}": c.p_d for label, c in curves.items()})
+    cols = {"snr_db": det.snr_grid, **{f"p_d_{label}": curve.p_d for label in labels}}
     path = out / "detect_compare.csv"
     write_csv(path, cols, config_to_dict(cfg, None, det), seed=args.seed,
-              extra={"layouts": ";".join(curves)})
+              extra={"layouts": ";".join(labels)})
     print(f"detect: wrote {path}")
     return 0
 

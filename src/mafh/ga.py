@@ -89,8 +89,8 @@ def ga_optimize(poly: FeasiblePolytope, ev: ObjectiveEvaluator, alpha,
                 child = child + mutate * rng.normal(0.0, SIGMA_MUT, size=n)
             children.append(_repair(child, L))
         pop = np.asarray(children)
-        fit = np.array([ev.f_weighted(ind, alpha) for ind in pop])
-        fit[0] = elite_fit  # elite re-enters unchanged
+        # the elite re-enters unchanged, so its fitness is not recomputed
+        fit = np.array([elite_fit] + [ev.f_weighted(ind, alpha) for ind in pop[1:]])
         trace.append(float(fit.min()))
 
     best = int(np.argmin(fit))

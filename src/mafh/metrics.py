@@ -147,13 +147,13 @@ def detection_probability(layout: AntennaLayout, code: FhCode, cfg: RadarConfig,
                           det: DetectionParams, seed: int = 0) -> DetectionCurve:
     """Detection probability versus per-element SNR at fixed false-alarm rate.
 
-    Model: single target at the matched hypothesis; the matched-filter output
-    is a = sqrt(M_r * snr) * |chi(0,0,0,0)| plus complex Gaussian noise of
-    variance M_t (the filter sums M_t unit-energy element channels; the
-    receive array contributes the scalar gain M_r).  The square-law statistic
-    |a + n|^2 is compared against a threshold calibrated on ``det.trials``
-    noise-only draws; an independent noise stream reports the measured
-    false-alarm rate.  Deterministic in ``seed`` regardless of chunking.
+    The curve depends only on (code, cfg, det, seed): at theta = theta' = 0
+    every steering phasor is 1, so ``layout`` is only checked against the code.
+    The matched-filter output is a = sqrt(M_r * snr) * |chi(0,0,0,0)| plus
+    CN(0, M_t) noise (M_t unit-energy element channels; the receive array adds
+    the scalar gain M_r).  The square-law statistic |a + n|^2 is compared with
+    a threshold calibrated on ``det.trials`` noise-only draws; an independent
+    stream reports the measured false-alarm rate.  Chunking never moves a draw.
     """
     matched = abs(chi(AmbiguityQuery(), layout, code, cfg))
     sigma2 = float(layout.M_t)

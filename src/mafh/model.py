@@ -188,8 +188,10 @@ class FhCode:
     c: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=int)
-        c = c.copy()
+        try:
+            c = np.array(self.c, dtype=int)
+        except OverflowError:
+            raise ValidationError("c: hop index too large for an integer") from None
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
         if c.ndim != 2:

@@ -76,6 +76,20 @@ def test_tradeoff_builds_each_table_once_per_evaluator(bench, tmp_path, capsys,
     assert tables == 3
 
 
+def test_detect_simulates_once_under_the_full_tracer(bench, tmp_path, capsys):
+    # the tracer reads ``det`` as the fourth positional argument
+    tracer, _ = bench
+    spans = _traced(tracer, ["detect", "--mt", "2", "--budget", "1.2",
+                             "--layouts", "equidistant,mmlwd", "--pfa", "1e-3",
+                             "--trials", "40000", "--snr=-12:0:6",
+                             "--out-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert not [s for s in spans if s[6] and "error" in s[6]]
+    detections = [s for s in spans if s[2] == "metrics.detection_probability"]
+    assert len(detections) == 1
+    assert detections[0][6]["draws"] == 40000 * (2 + 3)
+
+
 @pytest.mark.parametrize("name", ["screen", "detect"])
 def test_workload_pass_passes_its_check(bench, tmp_path, name):
     """One pass as an untraced benchmark run makes it, then its check."""

@@ -381,6 +381,30 @@ def test_detect_smoke_and_matched_tie(tmp_path):
     assert np.all(np.diff(data[:, 1]) >= 0)
 
 
+def test_detect_simulates_once_for_every_layout(tmp_path, monkeypatch):
+    # |chi(0,0,0,0)| is layout independent, so one curve serves all layouts
+    calls = []
+    simulate = mafh.cli.detection_probability
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(mafh.cli, "detection_probability", counted)
+    assert main(["detect", "--mt", "2", "--budget", "1.2", "--pfa", "1e-3",
+                 "--trials", "40000", "--snr=-12:0:6",
+                 "--layouts", "equidistant,mmlwd,random",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    texts = [(tmp_path / f"detect_{label}.csv").read_text().splitlines()
+             for label in ("equidistant", "mmlwd", "random")]
+    hashes = {ln for text in texts for ln in text if ln.startswith("# config_hash=")}
+    assert len(hashes) == 3                  # the layouts differ ...
+    bodies = [[ln for ln in text if not ln.startswith("# config_hash=")]
+              for text in texts]
+    assert bodies[0] == bodies[1] == bodies[2]   # ... and nothing else does
+
+
 def test_detect_optimizes_with_the_optimizer_flags(tmp_path):
     """The optimized detect layout is the one ``optimize`` finds with the same flags."""
     flags = ["--mt", "3", "--budget", "2", "--method", "ga",
@@ -479,6 +503,9 @@ _MALFORMED = {
     # 3.5 used to be truncated to 3, giving the same output as the integer code
     "code-fractional": (("code.json", "[[1, 2, 3, 4, 5, 6], [2, 3.5, 4, 5, 6, 7]]"),
                         _AF + ["--code", "{f}"]),
+    # used to overflow the integer code matrix
+    "code-huge": (("code.json", "[[1, 2, 3, 4, 5, 6], [2, 3, 4, 5, 6, 1e30]]"),
+                  _AF + ["--code", "{f}"]),
     "layout-bad-json": (("lay.json", '{"d": [0.7],'), _AF + ["--layout", "file:{f}"]),
     "layout-d-non-numeric": (("lay.json", '{"d": ["a", 1]}'),
                              _AF + ["--layout", "file:{f}"]),
@@ -488,6 +515,9 @@ _MALFORMED = {
     "layout-L-bool": (("lay.json", '{"d": [0.7], "L": true}'),
                       _AF + ["--layout", "file:{f}"]),
     "snr-non-numeric": (None, ["detect", "--layouts", "equidistant", "--snr", "a:b:c"]),
+    # used to reach np.arange and fail with "Maximum allowed size exceeded"
+    "snr-too-many-points": (None, ["detect", "--layouts", "equidistant",
+                                   "--snr", "0:2:1e-300"]),
     "theta-nan": (None, _AF + ["--theta", "nan"]),
     "range-inf": (None, _AF + ["--hi", "inf"]),
     "f_c-inf": (None, _AF + ["--set", "f_c=Infinity"]),
@@ -514,6 +544,14 @@ def test_malformed_input_exits_2_and_writes_nothing(tmp_path, capsys, case):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_out_dir_that_cannot_be_made_exits_2(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    rc = main(["af", "--axis", "angular", "--points", "17",
+               "--out-dir", str(tmp_path / "afile" / "x")])
+    assert rc == 2
+    assert "error: --out-dir:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [

@@ -126,3 +126,19 @@ def test_ga_tracks_gradient_optimizer(small):
                       GaParams(generations=30, population=10, seed=0))
     assert res.f_final >= ref.f_final - 1e-6
     assert abs(res.layout.d[0] - ref.layout.d[0]) < 0.05
+
+
+def test_ga_scores_each_individual_once(small, monkeypatch):
+    # the elite re-enters each generation with its fitness already known
+    ev, poly = small
+    calls = []
+    f_weighted = ev.f_weighted
+
+    def counted(d, alpha):
+        calls.append(d)
+        return f_weighted(d, alpha)
+
+    monkeypatch.setattr(ev, "f_weighted", counted)
+    p = GaParams(generations=5, population=6, seed=3)
+    ga_optimize(poly, ev, F1, p)
+    assert len(calls) == p.population + p.generations * (p.population - 1)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,7 +18,9 @@ from mafh import (
     generate_fh_code,
     measure_lobes,
     mmlwd_layout,
+    random_feasible_layout,
 )
+from mafh.ambiguity import kernel_matrix
 from mafh.theory import TheoryBound
 
 # Detection figures below were produced by this module at seed 0 and frozen;
@@ -195,3 +199,21 @@ def test_detection_validation(cfg, code8, equid8):
     with pytest.raises(ValidationError, match="^trials:"):
         detection_probability(equid8, code8, cfg,
                               DetectionParams(P_fa=1e-4, trials=1_000))
+
+
+@pytest.mark.parametrize("delta_f", [1e6, 1.3e6])
+def test_detection_does_not_depend_on_the_layout(cfg, equid8, delta_f):
+    """At theta = theta' = 0 every steering phasor is 1, so the curve is the
+    same bits for any layout of the code, also when G(0,0) is not diagonal."""
+    cfg = replace(cfg, delta_f=delta_f)
+    code = generate_fh_code(cfg, 8, seed=0)
+    G = kernel_matrix(0.0, 0.0, code, cfg)
+    assert (np.abs(G - np.diag(np.diag(G))).max() > 0.1) == (delta_f == 1.3e6)
+    det = DetectionParams(M_r=8, P_fa=1e-3, snr_grid=(-12.0, -6.0, 0.0),
+                          trials=40_000)
+    a = detection_probability(equid8, code, cfg, det, seed=0)
+    b = detection_probability(random_feasible_layout(8, 7.0, 0), code, cfg, det,
+                              seed=0)
+    assert a.p_d == b.p_d
+    assert a.threshold == b.threshold
+    assert a.pfa_measured == b.pfa_measured
