@@ -288,7 +288,8 @@ def cmd_optimize(args) -> int:
             "certificate": best.certificate,
             "iterations": best.trace[-1].k,
             "per_start": [{"start": i, "reason": r.certificate["reason"],
-                           "iterations": r.trace[-1].k, "f_final": r.f_final}
+                           "iterations": r.trace[-1].k, "f_evals": r.f_evals,
+                           "f_final": r.f_final}
                           for i, r in enumerate(runs)],
         }
     else:

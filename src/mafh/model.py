@@ -188,8 +188,11 @@ class FhCode:
     c: np.ndarray
 
     def __post_init__(self):
+        c = np.asarray(self.c)
+        if c.dtype.kind == "f":   # a cast would truncate 3.7 and wrap 1e30
+            c = np.reshape([_check_integer("c", v) for v in c.ravel().tolist()], c.shape)
         try:
-            c = np.array(self.c, dtype=int)
+            c = np.array(c, dtype=int)
         except OverflowError:
             raise ValidationError("c: hop index too large for an integer") from None
         c.setflags(write=False)

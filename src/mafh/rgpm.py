@@ -8,8 +8,10 @@ of g over the free spacings is subtracted from them.  The multipliers are
 g_i - mu for a floor row and -mu for the budget row (mu = 0 without it).
 When the projected gradient vanishes, they decide between KKT termination
 and dropping the row with the most negative multiplier.  Step length comes
-from a backtracking Armijo search whose first trial is capped at the largest
-feasible step, so every iterate stays inside the polytope.
+from a monotone backtracking Armijo search.  Its first trial, the
+Barzilai-Borwein step s's/s'y (s, y: the last step's changes in d and P g) on an
+unchanged working set with s'y > 0 and ``OMEGA0`` otherwise, is capped at the
+largest feasible step, so every iterate stays inside the polytope.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .objective import ObjectiveEvaluator, _check_alpha
 from .theory import mmlwd_layout
 
 # Backtracking line-search constants.
-OMEGA0 = 1.0        # first trial step
+OMEGA0 = 1.0        # first trial step without a Barzilai-Borwein step
 RHO = 0.5           # backtracking ratio
 SIGMA = 1e-4        # sufficient-decrease slope fraction
 OMEGA_MIN = 1e-12   # stall threshold
@@ -109,8 +111,8 @@ def _max_feasible_step(d: np.ndarray, direction: np.ndarray,
 
 
 def _armijo(fval, f0: float, d: np.ndarray, direction: np.ndarray,
-            poly: FeasiblePolytope, working):
-    """Backtrack along d - omega*direction.  Returns (omega, f_new, stalled).
+            poly: FeasiblePolytope, working, omega0: float = OMEGA0):
+    """Backtrack along d - omega*direction from omega0.  Returns (omega, f_new, stalled).
 
     ``working`` lists the constraint rows ``direction`` was projected onto.
     """
@@ -118,7 +120,7 @@ def _armijo(fval, f0: float, d: np.ndarray, direction: np.ndarray,
     if norm2 == 0.0:
         raise ValidationError("descent direction is zero")
     cap = _max_feasible_step(d, direction, poly, working)
-    omega = min(OMEGA0, cap)
+    omega = min(omega0, cap)
     while omega >= OMEGA_MIN:
         f_new = fval(d - omega * direction)
         if f_new <= f0 - SIGMA * omega * norm2:
@@ -146,6 +148,7 @@ class RgpmResult:
     stalled: bool
     certificate: dict
     f_final: float
+    f_evals: int        # f_weighted calls of this descent
 
 
 def _check_descent(n_starts: int, K_max: int, T_threshold: float) -> None:
@@ -174,20 +177,26 @@ def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
     if not poly.contains(d):
         raise ValidationError("d0: starting point is infeasible")
 
-    f_cur = ev.f_weighted(d, alpha)
+    f_evals = 0
+
+    def fval(y):
+        nonlocal f_evals
+        f_evals += 1
+        return ev.f_weighted(y, alpha)
+
+    f_cur = fval(d)
+    prev = None     # (d, P g, working set) of the previous step
     trace = [IterRecord(k=0, f=f_cur, grad_norm=np.nan, active_count=0, omega=np.nan)]
     converged = False
     stalled = False
     certificate = {"reason": "max-iterations", "threshold": T_threshold}
 
-    # single-point polytope: nothing to optimize
+    # single-point polytope: certified as it stands, no iteration runs
     if 0.5 * poly.n >= poly.L - FEASIBILITY_TOL:
+        converged, K_max = True, 0
         certificate = {"reason": "degenerate", "threshold": T_threshold,
                        "grad_norm": 0.0, "min_multiplier": None,
                        "active_count": poly.n + 1}
-        layout = AntennaLayout(d=np.maximum(d, 0.5), L=poly.L)
-        return RgpmResult(layout=layout, trace=tuple(trace), converged=True,
-                          stalled=False, certificate=certificate, f_final=f_cur)
 
     for k in range(1, K_max + 1):
         g = ev.grad_f_weighted(d, alpha)
@@ -218,8 +227,13 @@ def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
                                     active_count=len(idx), omega=0.0))
             break
 
-        omega, f_new, stall = _armijo(lambda y: ev.f_weighted(y, alpha), f_cur,
-                                      d, pg, poly, idx)
+        omega0 = OMEGA0
+        if prev is not None and prev[2] == idx:
+            s, y = d - prev[0], pg - prev[1]
+            if s @ y > 0.0:
+                omega0 = float(s @ s / (s @ y))
+        prev = (d, pg, idx)
+        omega, f_new, stall = _armijo(fval, f_cur, d, pg, poly, idx, omega0)
         if stall:
             stalled = True
             certificate = {"reason": "stalled", "grad_norm": norm,
@@ -235,7 +249,8 @@ def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
 
     layout = AntennaLayout(d=np.maximum(d, 0.5), L=poly.L)
     return RgpmResult(layout=layout, trace=tuple(trace), converged=converged,
-                      stalled=stalled, certificate=certificate, f_final=f_cur)
+                      stalled=stalled, certificate=certificate, f_final=f_cur,
+                      f_evals=f_evals)
 
 
 def _worker_count() -> int:

@@ -90,9 +90,12 @@ def test_detect_simulates_once_under_the_full_tracer(bench, tmp_path, capsys):
     assert detections[0][6]["draws"] == 40000 * (2 + 3)
 
 
-@pytest.mark.parametrize("name", ["screen", "detect"])
+@pytest.mark.parametrize("name", ["screen", "sweep", "detect"])
 def test_workload_pass_passes_its_check(bench, tmp_path, name):
-    """One pass as an untraced benchmark run makes it, then its check."""
+    """One pass as an untraced benchmark run makes it, then its check.
+
+    A ``sweep`` pass counts a start that ends stalled or at K_max as failed.
+    """
     tracer, _ = bench
     import workloads
     cls = workloads.WORKLOADS[name]
@@ -101,6 +104,7 @@ def test_workload_pass_passes_its_check(bench, tmp_path, name):
     with tracer.Tracer(only=boundary, keep_results=boundary) as tr:
         p = wl.run_pass(0, tr)
     assert wl.check(p) == []
+    assert p.failed == 0
 
 
 def test_sweep_check_recomputes_evaluator_objectives(bench, tmp_path):

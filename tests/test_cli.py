@@ -272,6 +272,9 @@ def test_optimize_rgpm_smoke(tmp_path):
     best = min(per_start, key=lambda s: (s["f_final"], s["start"]))
     assert best["reason"] == summary["certificate"]["reason"]
     assert best["iterations"] == summary["iterations"]
+    # the start value plus at least one line-search trial per step taken
+    assert all(isinstance(s["f_evals"], int) and s["f_evals"] >= s["iterations"]
+               for s in per_start)
     assert summary["f"] == pytest.approx(best["f_final"], rel=1e-9)
     assert main(args + ["--out-dir", str(tmp_path / "rerun")]) == 0
     assert ((tmp_path / "rerun" / "summary.json").read_bytes()

@@ -129,6 +129,24 @@ def test_fh_code_rejects_nonpositive_index():
         FhCode(c=np.array([[0, 1], [1, 2]]))
 
 
+@pytest.mark.parametrize("bad,match", [
+    (3.7, "^c: expected an integer, got 3.7"),
+    (np.inf, "^c: expected an integer, got inf"),
+    (np.nan, "^c: expected an integer, got nan"),
+    (1e30, "^c: hop index too large for an integer"),
+])
+def test_fh_code_rejects_fractional_and_non_finite_floats(bad, match):
+    # a cast to int would keep 3.7 as 3 and wrap 1e30 to a negative index
+    with pytest.raises(ValidationError, match=match):
+        FhCode(c=np.array([[1.0, 2.0], [bad, 1.0]]))
+
+
+def test_fh_code_keeps_whole_floats():
+    code = FhCode(c=np.array([[1.0, 2.0], [3.0, 1.0]]))
+    assert code.c.dtype.kind == "i"
+    assert_array_equal(code.c, [[1, 2], [3, 1]])
+
+
 def test_generate_fh_code_frozen(cfg, code8):
     assert_array_equal(code8.c, CODE8_SEED0)
     again = generate_fh_code(cfg, 8, seed=0)

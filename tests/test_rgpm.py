@@ -18,7 +18,9 @@ from mafh import (
     rgpm_multistart,
     rgpm_optimize,
 )
-from mafh.rgpm import _active_indices, _armijo, _project
+from mafh import rgpm
+from mafh.cli import _simplex_weights
+from mafh.rgpm import OMEGA0, _active_indices, _armijo, _project
 
 F1 = (1.0, 0.0, 0.0)   # angular objective only
 
@@ -143,6 +145,23 @@ def test_armijo_step_respects_feasibility_cap(small):
     assert not stalled
     assert 0.0 < omega <= 0.05 + 1e-12
     assert poly.contains(d + omega * np.array([1.0]))
+
+
+def test_armijo_first_trial_is_capped_omega0(small):
+    ev, poly = small
+    d, direction = np.array([1.15]), np.array([-1.0])   # cap 0.05
+    for omega0, first in ((10.0, 0.05), (0.01, 0.01)):
+        trials = []
+
+        def f(y):
+            trials.append(y.copy())
+            return ev.f_weighted(y, F1)
+
+        omega, _, stalled = _armijo(f, f(d), d, direction, poly, [], omega0)
+        assert not stalled
+        assert_allclose(trials[1], d - first * direction, rtol=0, atol=1e-12)
+        assert omega <= first + 1e-12
+        assert poly.contains(d - omega * direction)
 
 
 def test_armijo_step_zero_direction_rejected(small):
@@ -292,3 +311,51 @@ def test_multistart_runs_documented_starts_in_order(small):
         assert got.certificate == want.certificate
     f_min = min(r.f_final for r in results)
     assert best is next(r for r in results if r.f_final == f_min)
+
+
+def _certified(result):
+    return result.certificate["reason"] in ("kkt-multipliers", "interior-gradient")
+
+
+def test_sweep_protocol_takes_few_evaluations_and_certifies_every_start(
+        monkeypatch, ev8, poly8):
+    """``mafh tradeoff --resolution 2`` at seed 0: 6 triples, 4 starts each.
+
+    With every search starting at omega = 1 this took 6.65 f calls per
+    iteration and left two (0, 0, 1) starts at K_max without a certificate.
+    """
+    calls = []
+    f_weighted = ev8.f_weighted
+
+    def counting(d, alpha):
+        calls.append(alpha)
+        return f_weighted(d, alpha)
+
+    monkeypatch.setattr(ev8, "f_weighted", counting)
+    runs = [r for alpha in _simplex_weights(2)
+            for r in rgpm_multistart(poly8, ev8, alpha, n_starts=4, seed=0)[1]]
+    iterations = sum(r.trace[-1].k for r in runs)
+    assert len(runs) == 24
+    assert sum(r.f_evals for r in runs) == len(calls)
+    assert len(calls) < 2 * iterations
+    assert all(_certified(r) for r in runs), [r.certificate["reason"] for r in runs]
+
+
+def test_working_set_change_restarts_search_at_omega0(monkeypatch, ev8, poly8):
+    """A Barzilai-Borwein first trial only follows a step on the same working set."""
+    searches = []
+
+    def spy(fval, f0, d, direction, poly, working, omega0=OMEGA0):
+        searches.append((list(working), omega0))
+        return _armijo(fval, f0, d, direction, poly, working, omega0)
+
+    monkeypatch.setattr(rgpm, "_armijo", spy)
+    # the fourth seed-0 start at (0, 0, 1) meets new floors as it descends
+    res = rgpm_optimize(random_feasible_layout(8, 7.0, seed=2), poly8, ev8,
+                        (0.0, 0.0, 1.0))
+    assert _certified(res)
+    changed = [i for i in range(1, len(searches))
+               if searches[i][0] != searches[i - 1][0]]
+    assert changed and searches[0][1] == OMEGA0
+    assert all(searches[i][1] == OMEGA0 for i in changed)
+    assert any(omega0 != OMEGA0 for _, omega0 in searches)
