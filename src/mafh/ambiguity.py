@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (AntennaLayout, FhCode, RadarConfig, ValidationError,
-                    _check_angle, _check_code_fit)
+                    _check_angle, _check_code_fit, _freeze)
 
 _HALF_PI = 0.5 * np.pi
 
@@ -257,10 +257,7 @@ class AmbiguitySlice:
     values: np.ndarray
 
     def __post_init__(self):
-        for name in ("coords", "values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, "coords", "values")
 
 
 def af_slice(axis: str, layout: AntennaLayout, code: FhCode, cfg: RadarConfig,

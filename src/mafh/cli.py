@@ -18,7 +18,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .ambiguity import _check_pair, af_slice, matched_cut
 from .ga import GaParams, ga_optimize
@@ -330,8 +329,12 @@ def cmd_tradeoff(args) -> int:
     rows = [(alpha, _objective_record(ev, alpha, run(alpha)[0].layout))
             for alpha in weights]
 
+    from scipy import stats   # only this command needs scipy; keep it off the others
+
     fs = {k: np.array([r[k] for _, r in rows]) for k in ("f1", "f2", "f3")}
-    corr = {f"spearman_{a}_{b}": float(stats.spearmanr(fs[a], fs[b]).statistic)
+    # a rank correlation is undefined when either column is constant
+    corr = {f"spearman_{a}_{b}": math.nan if np.ptp(fs[a]) == 0 or np.ptp(fs[b]) == 0
+            else float(stats.spearmanr(fs[a], fs[b]).statistic)
             for a, b in (("f1", "f3"), ("f1", "f2"), ("f2", "f3"))}
     doc = config_to_dict(cfg, ref, det)
     path = _out_dir(args) / "tradeoff.csv"

@@ -112,6 +112,14 @@ class RadarConfig:
         return self.delta_f * self.delta_t
 
 
+def _freeze(obj, *names: str) -> None:
+    """Store the named fields of a frozen dataclass as read-only float arrays."""
+    for name in names:
+        arr = np.asarray(getattr(obj, name), dtype=float)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 def _close(a: float, b: float, rel: float = 1e-12) -> bool:
     return abs(a - b) <= rel * max(abs(a), abs(b), 1.0)
 

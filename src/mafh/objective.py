@@ -18,18 +18,23 @@ orders of magnitude.  The sample coordinates themselves stay in Hz / s.
 
 The grid is fixed per run, so :class:`ObjectiveEvaluator` builds the three
 hop-pair kernel tables of :func:`mafh.ambiguity.kernel_matrix` once, when it
-is constructed.  f1 contracts the angular table with the steering vectors on
-every call.  The Doppler and delay tables G (samples x M^2) enter f2 and f3
-only through their Gram matrices: with o_t = vec(a(theta_t) a(theta_t)^H),
+is constructed, and keeps each only as an M^2 x M^2 Hermitian matrix (cell
+weights folded in).  Every objective is then a sum of Hermitian forms
+o^H H o over rows o = vec(a a^H).  The Doppler and delay tables G (samples
+x M^2) give one row per angle, o_t = vec(a(theta_t) a(theta_t)^H):
 
-    sum_p |chi[t, p]|^2 = o_t^H (G^H G) o_t / Q^2,
+    sum_p |chi[t, p]|^2 = o_t^H (G^H G) o_t / Q^2.
 
-so the evaluator keeps the two M^2 x M^2 matrices H2, H3 (cell weights
-folded in) and drops the tables.  A weighted call evaluates alpha2*f2 +
-alpha3*f3 as one contraction with alpha2*H2 + alpha3*H3.  Only the array
-steering phase depends on d, so the gradient is taken with respect to the
-element positions x_m, all M partials from one contraction, and carried to
-the spacings through x_m = sum_{i<=m} d_i: df/dd_i = sum_{m>=i} df/dx_m.
+The zero-shift table G1 (M x M, Hermitian) gives a single row: summing
+over both angles of the square first, with u = vec(sum_t a_t a_t^H),
+
+    sum_{t,s} |chi[t, s]|^2 = u^H H1 u / Q^2,  H1[(m,p),(n,q)] = G1[n,m] conj(G1[q,p]).
+
+A weighted call evaluates alpha2*f2 + alpha3*f3 as one form with
+alpha2*H2 + alpha3*H3.  Only the array steering phase depends on d, so the
+gradient is taken with respect to the element positions x_m, all M
+partials from the same contraction, and carried to the spacings through
+x_m = sum_{i<=m} d_i: df/dd_i = sum_{m>=i} df/dx_m.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import numpy as np
 
 from .ambiguity import kernel_matrix, steering
 from .model import (AntennaLayout, FhCode, RadarConfig, ValidationError,
-                    _check_angle)
+                    _check_angle, _freeze)
 from .theory import b_min
 
 _HALF_PI = 0.5 * np.pi
@@ -81,10 +86,7 @@ class ObjectiveGrid:
     w_theta23: float           # angular weight per f2/f3 sample
 
     def __post_init__(self):
-        for name in ("theta_samples", "v_samples", "tau_samples", "theta_f23"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, "theta_samples", "v_samples", "tau_samples", "theta_f23")
 
 
 def build_grid(cfg: RadarConfig, layout: AntennaLayout, _unused=None,
@@ -132,10 +134,6 @@ def build_grid(cfg: RadarConfig, layout: AntennaLayout, _unused=None,
     )
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real * z.real + z.imag * z.imag
-
-
 def _gram(G: np.ndarray, weight: float) -> np.ndarray:
     """weight * G^H G of a (samples, M, M) table flattened to (samples, M*M)."""
     G = G.reshape(G.shape[0], -1)
@@ -147,21 +145,22 @@ def _gram(G: np.ndarray, weight: float) -> np.ndarray:
 class ObjectiveEvaluator:
     """Grid-bound objective/gradient engine operating on raw spacing vectors.
 
-    The angular kernel table and the Doppler/delay Gram matrices depend on
-    (grid, code, cfg) only, not on the weights.  They are built here, once,
-    read-only, and serve every descent and weight triple of a command; f2
-    and f3 share one contraction per weighted call.  ``d`` is not required
-    to be feasible — the ambiguity surface is defined for any positive
-    spacings — which the finite-difference probes rely on.
+    The Gram matrices H1, H2, H3 depend on (grid, code, cfg) only, not on
+    the weights.  They are built here, once, read-only, and serve every
+    descent and weight triple of a command; f2 and f3 share one contraction
+    per weighted call.  ``d`` is not required to be feasible — the ambiguity
+    surface is defined for any positive spacings — which the
+    finite-difference probes rely on.
     """
 
     def __init__(self, grid: ObjectiveGrid, code: FhCode, cfg: RadarConfig):
         self.grid = grid
         self.cfg = cfg
         self.M = code.M_t
-        self._g1 = kernel_matrix(0.0, 0.0, code, cfg)
-        self._g1.setflags(write=False)
-        # f2/f3 keep only their cell-weighted Gram matrices, not the tables
+        # each objective keeps only its cell-weighted Gram matrix, not its table
+        G1 = kernel_matrix(0.0, 0.0, code, cfg)
+        self._h1 = grid.d_theta ** 2 / cfg.Q ** 2 * np.kron(G1, G1.conj()).T
+        self._h1.setflags(write=False)
         w = grid.w_theta23 / cfg.Q ** 2
         self._h2 = _gram(kernel_matrix(0.0, grid.v_samples, code, cfg), w * grid.d_v)
         self._h3 = _gram(kernel_matrix(grid.tau_samples, 0.0, code, cfg), w * grid.d_tau)
@@ -174,48 +173,42 @@ class ObjectiveEvaluator:
             )
         return np.concatenate(([0.0], np.cumsum(d)))
 
-    # -- contractions ----------------------------------------------------------
+    # -- the Hermitian form ------------------------------------------------------
     #
     # Each returns (energy, d energy / d x) for positions x; the derivative is
-    # None unless ``grad``.  With a_m = exp(j*2*pi*x_m*sin(theta)), d a_m / d x_m
-    # = j*2*pi*sin(theta)*a_m, so d|chi|^2 / d x_m = 2 Re(conj(chi) d chi / d x_m)
-    # collects, for every m at once, the row-m and column-m terms of the
-    # contraction, each weighted by the sine of its own angle.
+    # None unless ``grad``.  With a_m = exp(j*2*pi*x_m*sin(theta)), moving x_k
+    # turns entry (m, p) of a a^H by j*2*pi*sin(theta)*(delta_mk - delta_pk).
+    # So with h = H^T conj(o), d(o^H H o)/d x_k = 2 Re sum(h * d o / d x_k) is
+    # -4*pi Im(row-k sum minus column-k sum of s * h), where the row s is o
+    # with each term a a^H weighted by the sine of its angle.
+
+    def _form(self, O: np.ndarray, S: np.ndarray | None, H: np.ndarray):
+        """sum_i o_i^H H o_i over the rows of O; S holds their sine-weighted twins."""
+        HO = O.conj() @ H
+        f = float((O * HO).real.sum())
+        if S is None:
+            return f, None
+        K = (S * HO).sum(axis=0).reshape(self.M, self.M)
+        return f, -4.0 * np.pi * (K.sum(axis=1) - K.sum(axis=0)).imag
 
     def _square(self, x: np.ndarray, grad: bool):
-        """f1: chi[t, s] = a(theta_t)^T G1 conj(a(theta_s)) / Q over the square."""
-        Q = self.cfg.Q
-        A = steering(self.grid.theta_samples, x)
+        """f1 = u^H H1 u with the single row u = vec(sum_t a(theta_t) a(theta_t)^H)."""
+        theta = self.grid.theta_samples
+        A = steering(theta, x)
         Ac = A.conj()
-        AG = A @ self._g1
-        chi = AG @ Ac.T / Q
-        w = self.grid.d_theta ** 2
-        f = float(w * _abs2(chi).sum())
-        if not grad:
-            return f, None
-        cc = chi.conj()
-        rows = A * (cc @ (self._g1 @ Ac.T).T)   # theta_t side, (T, M)
-        cols = Ac * (cc.T @ AG)                 # theta_s side, (S, M)
-        sin_t = np.sin(self.grid.theta_samples)[:, None]
-        return f, -(4.0 * np.pi * w / Q) * (sin_t * (rows - cols)).imag.sum(axis=0)
+        S = ((A.T * np.sin(theta)) @ Ac).reshape(1, -1) if grad else None
+        return self._form((A.T @ Ac).reshape(1, -1), S, self._h1)
 
     def _cut(self, x: np.ndarray, H: np.ndarray, grad: bool):
-        """f2/f3 through a weighted Gram matrix: sum_p |chi[t, p]|^2 w = o_t^H H o_t.
+        """f2/f3 = sum_t o_t^H H o_t with o_t = vec(a(theta_t) a(theta_t)^H).
 
-        o_t = vec(a(theta_t) a(theta_t)^H); ``H`` is one of ``_h2``/``_h3`` or
-        their alpha-weighted sum, so both cuts cost one contraction.
+        ``H`` is one of ``_h2``/``_h3`` or their alpha-weighted sum, so both
+        cuts cost one contraction.
         """
-        M = self.M
-        A = steering(self.grid.theta_f23, x)
-        outer = (A[:, :, None] * A.conj()[:, None, :]).reshape(-1, M * M)
-        K = outer * (outer.conj() @ H)
-        f = float(K.real.sum())
-        if not grad:
-            return f, None
-        K = K.reshape(-1, M, M)
-        sin_t = np.sin(self.grid.theta_f23)[:, None]
-        diff = K.sum(axis=2) - K.sum(axis=1)    # row-m minus column-m terms
-        return f, -4.0 * np.pi * (sin_t * diff).imag.sum(axis=0)
+        theta = self.grid.theta_f23
+        A = steering(theta, x)
+        O = (A[:, :, None] * A.conj()[:, None, :]).reshape(theta.size, -1)
+        return self._form(O, np.sin(theta)[:, None] * O if grad else None, H)
 
     # -- objective values and gradient -------------------------------------------
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .ambiguity import _shift_terms
 from .model import (AntennaLayout, FhCode, RadarConfig, ValidationError,
-                    _check_angle, _check_aperture)
+                    _check_angle, _check_aperture, _freeze)
 
 
 def mmlwd_layout(M_t: int, L: float) -> AntennaLayout:
@@ -65,10 +65,7 @@ class TheoryBound:
     lower: np.ndarray    # same normalization as chi: matched value M_t
 
     def __post_init__(self):
-        for name in ("coords", "lower"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, "coords", "lower")
 
 
 def _code_subset(code: FhCode, M_t: int) -> FhCode:

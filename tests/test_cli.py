@@ -1,5 +1,9 @@
 import ast
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +362,29 @@ def test_tradeoff_smoke(tmp_path):
     text = path.read_text()
     for key in ("spearman_f1_f3", "spearman_f1_f2", "spearman_f2_f3"):
         assert f"# {key}=" in text
+
+
+def test_tradeoff_constant_columns_write_nan(tmp_path):
+    # two elements in a lambda/2 budget admit one layout: every column is constant
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["tradeoff", "--mt", "2", "--budget", "0.5", "--resolution", "2",
+                   "--out-dir", str(tmp_path)])
+    assert rc == 0
+    text = (tmp_path / "tradeoff.csv").read_text()
+    for key in ("spearman_f1_f3", "spearman_f1_f2", "spearman_f2_f3"):
+        assert f"# {key}=nan\n" in text
+
+
+def test_cli_import_loads_no_scipy():
+    """Only ``tradeoff`` needs scipy, so the other commands do not pay its import."""
+    src = str(Path(mafh.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, mafh.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_detect_smoke_and_matched_tie(tmp_path):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special
 
 from mafh import (
     AntennaLayout,
@@ -86,11 +87,33 @@ def test_gram_objectives_match_per_sample_reference(cfg, M_t, L, theta_eval):
 
 def test_evaluator_keeps_hermitian_grams_not_tables(ev8):
     samples = {ev8.grid.v_samples.size, ev8.grid.tau_samples.size}
-    for H in (ev8._h2, ev8._h3):
+    for H in (ev8._h1, ev8._h2, ev8._h3):
         assert H.shape == (64, 64)
         assert_allclose(H, H.conj().T, rtol=0, atol=1e-15 * np.abs(H).max())
     for value in vars(ev8).values():
         assert not samples & set(np.shape(value))
+        assert np.shape(value) != (8, 8)    # no zero-shift table either
+
+
+def test_f1_closed_rule_converges_to_bessel_integral(cfg, code8, ev8):
+    """Exact-integral oracle: over theta, sum_t a_t a_t^H dtheta tends to
+    U_mp = pi J0(2 pi (x_m - x_p)), so f1 tends to
+    sum G_mn conj(G_pq) U_mp conj(U_nq) / Q^2.  The closed rule gives both
+    endpoint samples a full cell, so it overshoots by O(dtheta): each
+    doubling of n1 about halves the gap.
+    """
+    G = kernel_matrix(0.0, 0.0, code8, cfg)
+    evs = [ObjectiveEvaluator(_scaled_grid(ev8.grid, cfg, k, 1, 1), code8, cfg)
+           for k in (1, 2, 4, 8)]
+    for seed in range(5):
+        lay = random_feasible_layout(8, 7.0, seed=seed)
+        U = np.pi * special.j0(2 * np.pi * np.subtract.outer(lay.x, lay.x))
+        exact = np.einsum("mn,pq,mp,nq->", G, G.conj(), U, U.conj()).real / cfg.Q ** 2
+        gaps = np.array([ev.f1(lay.d) for ev in evs]) - exact
+        print(f"seed {seed}: f1 {gaps[0] + exact:.3f} on the default grid, "
+              f"integral {exact:.3f}, gap ratios {np.round(gaps[1:] / gaps[:-1], 3)}")
+        assert np.all(gaps > 0)
+        assert np.all((gaps[1:] / gaps[:-1] > 0.45) & (gaps[1:] / gaps[:-1] < 0.55))
 
 
 def test_grid_sizes_default_config(cfg, equid8):
