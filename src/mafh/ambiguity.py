@@ -316,6 +316,8 @@ def matched_cut(axis: str, coords, layout: AntennaLayout, code: FhCode,
         b = steering(coords, layout.x)
     elif axis == "doppler":
         G = kernel_matrix(0.0, coords, code, cfg)
-    else:
+    elif axis == "delay":
         G = kernel_matrix(coords, 0.0, code, cfg)
+    else:
+        raise ValidationError(f"axis: expected one of {_AXES}, got {axis!r}")
     return np.abs(np.einsum("...mn,m,...n->...", G, a, b.conj())) / cfg.Q

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AntennaLayout, ValidationError, random_feasible_layout
+from .model import AntennaLayout, ValidationError, _check_integer, random_feasible_layout
 from .objective import ObjectiveEvaluator, _check_alpha
 from .rgpm import FeasiblePolytope
 
@@ -30,6 +30,8 @@ class GaParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("generations", "population"):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         if self.generations < 1:
             raise ValidationError(f"generations: expected >= 1, got {self.generations}")
         if self.population < 2:

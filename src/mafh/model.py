@@ -113,9 +113,9 @@ class RadarConfig:
 
 
 def _freeze(obj, *names: str) -> None:
-    """Store the named fields of a frozen dataclass as read-only float arrays."""
+    """Store the named fields of a frozen dataclass as read-only float copies."""
     for name in names:
-        arr = np.asarray(getattr(obj, name), dtype=float)
+        arr = np.array(getattr(obj, name), dtype=float)
         arr.setflags(write=False)
         object.__setattr__(obj, name, arr)
 
@@ -155,10 +155,8 @@ class AntennaLayout:
     L: float
 
     def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
-        d = d.copy()
-        d.setflags(write=False)
-        object.__setattr__(self, "d", d)
+        _freeze(self, "d")
+        d = self.d
         if d.ndim != 1:
             raise ValidationError(f"d: expected a 1-D spacing vector, got shape {d.shape}")
         if d.size and not np.all(d >= 0.5 - FEASIBILITY_TOL):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FEASIBILITY_TOL, AntennaLayout, ValidationError, _check_aperture
-from .model import equidistant_layout, random_feasible_layout
+from .model import _check_integer, equidistant_layout, random_feasible_layout
 from .objective import ObjectiveEvaluator, _check_alpha
 from .theory import mmlwd_layout
 
@@ -151,14 +151,16 @@ class RgpmResult:
     f_evals: int        # f_weighted calls of this descent
 
 
-def _check_descent(n_starts: int, K_max: int, T_threshold: float) -> None:
-    """Raise unless the start count, iteration cap and threshold can run."""
+def _check_descent(n_starts: int, K_max: int, T_threshold: float) -> tuple[int, int]:
+    """(n_starts, K_max) as ints; raise unless they and the threshold can run."""
+    n_starts, K_max = _check_integer("n_starts", n_starts), _check_integer("K_max", K_max)
     if n_starts < 1:
         raise ValidationError(f"n_starts: expected at least 1, got {n_starts}")
     if K_max < 1:
         raise ValidationError(f"K_max: expected at least 1, got {K_max}")
     if not 0 < T_threshold < np.inf:
         raise ValidationError(f"T_threshold: expected finite > 0, got {T_threshold}")
+    return n_starts, K_max
 
 
 def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
@@ -166,12 +168,13 @@ def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
                   T_threshold: float = 1e-2) -> RgpmResult:
     """Projected-gradient descent of ``ev.f_weighted(., alpha)`` from ``d0``.
 
-    Terminates when the projected gradient norm falls below ``T_threshold``
-    and all active-constraint multipliers are nonnegative (KKT certificate),
-    or after ``K_max`` iterations, or on a line-search stall (best-so-far
-    point is returned with ``stalled=True``).
+    The certificate's ``reason`` says how it stopped: ``degenerate`` (every
+    row can bind at once, so no iteration runs), ``interior-gradient`` or
+    ``kkt-multipliers`` (projected gradient norm below ``T_threshold``, with no
+    active row or all multipliers nonnegative), ``stalled`` (no Armijo step;
+    the best-so-far point is returned) or ``max-iterations`` (``K_max`` reached).
     """
-    _check_descent(1, K_max, T_threshold)
+    _, K_max = _check_descent(1, K_max, T_threshold)
     alpha = _check_alpha(alpha)
     d = np.asarray(d0.d, dtype=float).copy()
     if not poly.contains(d):
@@ -187,18 +190,14 @@ def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
     f_cur = fval(d)
     prev = None     # (d, P g, working set) of the previous step
     trace = [IterRecord(k=0, f=f_cur, grad_norm=np.nan, active_count=0, omega=np.nan)]
-    converged = False
-    stalled = False
-    certificate = {"reason": "max-iterations", "threshold": T_threshold}
+    reason = None
+    if 0.5 * poly.n >= poly.L - (poly.n + 1) * FEASIBILITY_TOL:
+        # all n + 1 rows can be active together: no projection is defined
+        reason, norm, min_u, idx = "degenerate", 0.0, None, range(poly.n + 1)
 
-    # single-point polytope: certified as it stands, no iteration runs
-    if 0.5 * poly.n >= poly.L - FEASIBILITY_TOL:
-        converged, K_max = True, 0
-        certificate = {"reason": "degenerate", "threshold": T_threshold,
-                       "grad_norm": 0.0, "min_multiplier": None,
-                       "active_count": poly.n + 1}
-
-    for k in range(1, K_max + 1):
+    k = 0
+    while reason is None and k < K_max:
+        k += 1
         g = ev.grad_f_weighted(d, alpha)
         idx = list(_active_indices(d, poly))
         min_u = None
@@ -207,50 +206,38 @@ def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
             norm = float(np.linalg.norm(pg))
             if norm >= T_threshold:
                 break
-            if not idx:
-                converged = True
-                certificate = {"reason": "interior-gradient", "grad_norm": norm,
-                               "min_multiplier": None, "active_count": 0,
-                               "threshold": T_threshold}
-                break
-            min_u = float(u.min())
-            if min_u >= 0.0:
-                converged = True
-                certificate = {"reason": "kkt-multipliers", "grad_norm": norm,
-                               "min_multiplier": min_u,
-                               "active_count": len(idx),
-                               "threshold": T_threshold}
+            min_u = float(u.min()) if idx else None
+            if min_u is None or min_u >= 0.0:
+                reason = "kkt-multipliers" if idx else "interior-gradient"
                 break
             idx.pop(int(np.argmin(u)))
-        if converged:
-            trace.append(IterRecord(k=k, f=f_cur, grad_norm=norm,
-                                    active_count=len(idx), omega=0.0))
-            break
 
-        omega0 = OMEGA0
-        if prev is not None and prev[2] == idx:
-            s, y = d - prev[0], pg - prev[1]
-            if s @ y > 0.0:
-                omega0 = float(s @ s / (s @ y))
-        prev = (d, pg, idx)
-        omega, f_new, stall = _armijo(fval, f_cur, d, pg, poly, idx, omega0)
-        if stall:
-            stalled = True
-            certificate = {"reason": "stalled", "grad_norm": norm,
-                           "min_multiplier": min_u, "active_count": len(idx),
-                           "threshold": T_threshold}
-            trace.append(IterRecord(k=k, f=f_cur, grad_norm=norm,
-                                    active_count=len(idx), omega=0.0))
-            break
-        d = d - omega * pg
-        f_cur = f_new
+        omega = 0.0
+        if reason is None:
+            omega0 = OMEGA0
+            if prev is not None and prev[2] == idx:
+                s, y = d - prev[0], pg - prev[1]
+                if s @ y > 0.0:
+                    omega0 = float(s @ s / (s @ y))
+            prev = (d, pg, idx)
+            step, f_new, stalled = _armijo(fval, f_cur, d, pg, poly, idx, omega0)
+            if stalled:
+                reason = "stalled"
+            else:
+                omega, d, f_cur = step, d - step * pg, f_new
         trace.append(IterRecord(k=k, f=f_cur, grad_norm=norm,
                                 active_count=len(idx), omega=omega))
 
+    if reason is None:
+        certificate = {"reason": "max-iterations", "threshold": T_threshold}
+    else:
+        certificate = {"reason": reason, "grad_norm": norm, "min_multiplier": min_u,
+                       "active_count": len(idx), "threshold": T_threshold}
     layout = AntennaLayout(d=np.maximum(d, 0.5), L=poly.L)
+    converged = reason in ("degenerate", "interior-gradient", "kkt-multipliers")
     return RgpmResult(layout=layout, trace=tuple(trace), converged=converged,
-                      stalled=stalled, certificate=certificate, f_final=f_cur,
-                      f_evals=f_evals)
+                      stalled=reason == "stalled", certificate=certificate,
+                      f_final=f_cur, f_evals=f_evals)
 
 
 def _worker_count() -> int:
@@ -272,7 +259,7 @@ def rgpm_multistart(poly: FeasiblePolytope, ev: ObjectiveEvaluator, alpha,
     polytope.  The starts run in order; ties resolve to the earliest.
     Returns (best result, all results).
     """
-    _check_descent(n_starts, K_max, T_threshold)
+    n_starts, K_max = _check_descent(n_starts, K_max, T_threshold)
     alpha = _check_alpha(alpha)
     M_t, L = ev.M, poly.L
     starts = [equidistant_layout(M_t, L), mmlwd_layout(M_t, L)]

@@ -194,6 +194,8 @@ def test_af_slice_angular_range(cfg, code8, equid8):
 def test_af_slice_validation(cfg, code8, equid8):
     with pytest.raises(ValidationError, match="^axis:"):
         af_slice("range", equid8, code8, cfg)
+    with pytest.raises(ValidationError, match="^axis:"):
+        matched_cut("angualr", [0.0], equid8, code8, cfg, 0.0)
     with pytest.raises(ValidationError, match="^theta:"):
         af_slice("doppler", equid8, code8, cfg, theta=3.0)
     with pytest.raises(ValidationError, match="^n_points:"):

@@ -303,6 +303,19 @@ def test_optimize_budget_within_feasibility_tolerance(tmp_path):
     assert summary["certificate"]["reason"] == "degenerate"
 
 
+@pytest.mark.parametrize("command", ["optimize", "tradeoff"])
+def test_near_degenerate_budget_runs(tmp_path, command):
+    # within (n + 1) * 1e-9 of the floors, a start can bind every row at once
+    args = [command, "--mt", "2", "--budget", "0.5000000015",
+            "--out-dir", str(tmp_path)]
+    if command == "tradeoff":
+        args += ["--resolution", "2"]
+    assert main(args) == 0
+    if command == "optimize":
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert [s["reason"] for s in summary["per_start"]] == ["degenerate"] * 4
+
+
 def test_optimize_ga_smoke(tmp_path):
     rc = main(["optimize", "--method", "ga", "--mt", "2", "--budget", "1.2",
                "--generations", "3", "--population", "4",

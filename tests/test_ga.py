@@ -41,11 +41,19 @@ def test_params_defaults():
     [
         (dict(generations=0), "generations"),
         (dict(population=1), "population"),
+        (dict(generations=2.5), "generations"),
+        (dict(population=3.5), "population"),
     ],
 )
 def test_params_validation(kwargs, field):
     with pytest.raises(ValidationError, match=f"^{field}:"):
         GaParams(**kwargs)
+
+
+def test_params_store_whole_floats_as_int():
+    p = GaParams(generations=4.0, population=6.0)
+    assert (p.generations, p.population) == (4, 6)
+    assert type(p.generations) is int and type(p.population) is int
 
 
 def test_repair_clamps_and_rescales():

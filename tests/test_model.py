@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mafh import (
+    AmbiguitySlice,
     AntennaLayout,
     DetectionParams,
     FeasiblePolytope,
     FhCode,
+    ObjectiveGrid,
     RadarConfig,
+    TheoryBound,
     ValidationError,
     b_min,
     build_grid,
@@ -116,6 +119,24 @@ def test_layout_and_aperture_share_one_tolerance(cfg):
 def test_layout_spacings_are_immutable(equid8):
     with pytest.raises(ValueError):
         equid8.d[0] = 1.0
+
+
+def test_frozen_arrays_are_copies_of_the_callers():
+    c, v = np.linspace(0.0, 1.0, 3), np.ones(3)
+    built = [
+        AmbiguitySlice(axis="angular", coords=c, values=v),
+        TheoryBound(axis="delay", coords=c, lower=v),
+        ObjectiveGrid(n1=2, n2=2, n3=2, theta_samples=c, v_samples=v, tau_samples=c,
+                      d_theta=1.0, d_v=1.0, d_tau=1.0, theta_f23=v, w_theta23=1.0),
+        AntennaLayout(d=v, L=3.0),
+    ]
+    assert c.flags.writeable and v.flags.writeable
+    for obj in built:
+        for f in dataclasses.fields(obj):
+            arr = getattr(obj, f.name)
+            if isinstance(arr, np.ndarray):
+                assert not arr.flags.writeable, f.name
+                assert not np.shares_memory(arr, c) and not np.shares_memory(arr, v)
 
 
 def test_fh_code_column_distinctness():

@@ -222,6 +222,15 @@ def test_rgpm_argument_validation(small):
         rgpm_optimize(AntennaLayout(d=np.array([1.25]), L=1.3), poly, ev, F1)
     with pytest.raises(ValidationError, match="^alpha:"):
         rgpm_optimize(d0, poly, ev, (0.5, 0.5, 0.5))
+    with pytest.raises(ValidationError, match="^K_max:"):
+        rgpm_optimize(d0, poly, ev, F1, K_max=2.5)
+    with pytest.raises(ValidationError, match="^n_starts:"):
+        rgpm_multistart(poly, ev, F1, n_starts=2.5)
+    with pytest.raises(ValidationError, match="^K_max:"):
+        rgpm_multistart(poly, ev, F1, K_max=2.5)
+    # whole floats count as integers
+    _, results = rgpm_multistart(poly, ev, F1, n_starts=2.0, K_max=3.0)
+    assert len(results) == 2 and all(r.trace[-1].k <= 3 for r in results)
 
 
 def test_rgpm_degenerate_polytope(cfg):
@@ -233,6 +242,51 @@ def test_rgpm_degenerate_polytope(cfg):
     res = rgpm_optimize(lay, poly, ObjectiveEvaluator(grid, code, cfg), F1)
     assert res.converged and res.certificate["reason"] == "degenerate"
     assert_allclose(res.layout.d, [0.5, 0.5, 0.5])
+
+
+def test_rgpm_near_degenerate_budget_is_degenerate(small):
+    # 1.5e-9 above the floor: within (n + 1) * FEASIBILITY_TOL, so a start can
+    # sit on the floor and the budget row at once
+    ev, _ = small
+    poly = FeasiblePolytope.spacing_bounds(2, 0.5 + 1.5e-9)
+    best, results = rgpm_multistart(poly, ev, F1)
+    assert [r.certificate["reason"] for r in results] == ["degenerate"] * 4
+    assert best.converged and best.trace[-1].k == 0
+
+
+_CERTIFIED_KEYS = ["reason", "grad_norm", "min_multiplier", "active_count", "threshold"]
+
+
+@pytest.mark.parametrize("reason, d0, budget, K_max, keys", [
+    ("degenerate", 0.5, 0.5, 150, _CERTIFIED_KEYS),
+    ("interior-gradient", 1.0, 1.2, 50, _CERTIFIED_KEYS),
+    ("kkt-multipliers", 0.5, 1.2, 50, _CERTIFIED_KEYS),
+    ("stalled", None, None, 150, _CERTIFIED_KEYS),
+    ("max-iterations", 1.0, 1.2, 1, ["reason", "threshold"]),
+])
+def test_rgpm_stop_rule(small, poly8, reason, d0, budget, K_max, keys):
+    """Each stop: its certificate keys in order, flags and last trace row."""
+    ev, _ = small
+    if reason == "stalled":
+        ev, poly, start = NoDecrease(), poly8, AntennaLayout(d=np.full(7, 0.9), L=7.0)
+    else:
+        poly = FeasiblePolytope.spacing_bounds(2, budget)
+        start = AntennaLayout(d=np.array([d0]), L=budget)
+    threshold = 1e-12 if reason == "max-iterations" else 1e-2
+    res = rgpm_optimize(start, poly, ev, F1, K_max=K_max, T_threshold=threshold)
+    assert res.certificate["reason"] == reason
+    assert list(res.certificate) == keys
+    assert res.converged == (reason in ("degenerate", "interior-gradient",
+                                        "kkt-multipliers"))
+    assert res.stalled == (reason == "stalled")
+    assert [r.k for r in res.trace] == list(range(len(res.trace)))
+    last = res.trace[-1]
+    if reason == "degenerate":       # no iteration runs
+        assert len(res.trace) == 1
+    elif reason == "max-iterations":
+        assert last.k == K_max and last.omega > 0.0
+    else:
+        assert last.omega == 0.0 and last.f == res.f_final
 
 
 @pytest.mark.parametrize("start_budget", [4.2, 20.0])
@@ -253,16 +307,17 @@ def test_rgpm_iteration_cap(small):
     assert res.trace[-1].k <= 1
 
 
+class NoDecrease:
+    """Objective that admits no sufficient-decrease step anywhere."""
+
+    def f_weighted(self, d, alpha):
+        return 1.0
+
+    def grad_f_weighted(self, d, alpha):
+        return np.ones_like(d)
+
+
 def test_rgpm_stall_returns_best_so_far(poly8):
-    class NoDecrease:
-        """Objective that admits no sufficient-decrease step anywhere."""
-
-        def f_weighted(self, d, alpha):
-            return 1.0
-
-        def grad_f_weighted(self, d, alpha):
-            return np.ones_like(d)
-
     d0 = AntennaLayout(d=np.full(7, 0.9), L=7.0)
     res = rgpm_optimize(d0, poly8, NoDecrease(), F1)
     assert res.stalled and not res.converged
