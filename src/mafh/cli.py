@@ -23,7 +23,7 @@ from .ambiguity import _check_pair, af_slice, matched_cut
 from .ga import GaParams, ga_optimize
 from .metrics import detection_probability
 from .model import (AntennaLayout, FhCode, ValidationError, _check_number,
-                    _read_json, config_to_dict, equidistant_layout,
+                    _check_seed, _read_json, config_to_dict, equidistant_layout,
                     generate_fh_code, load_fh_code, load_layout, parse_config,
                     random_feasible_layout)
 from .objective import ObjectiveEvaluator, _check_alpha, build_grid
@@ -518,6 +518,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:        # argparse exits 2 on usage errors
         return int(exc.code or 0)
     try:
+        _check_seed("--seed", args.seed)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AntennaLayout, ValidationError, _check_integer, random_feasible_layout
+from .model import (AntennaLayout, ValidationError, _check_integer, _check_seed,
+                    random_feasible_layout)
 from .objective import ObjectiveEvaluator, _check_alpha
 from .rgpm import FeasiblePolytope
 
@@ -32,6 +33,7 @@ class GaParams:
     def __post_init__(self):
         for name in ("generations", "population"):
             object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
+        object.__setattr__(self, "seed", _check_seed("seed", self.seed))
         if self.generations < 1:
             raise ValidationError(f"generations: expected >= 1, got {self.generations}")
         if self.population < 2:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .ambiguity import AmbiguityQuery, AmbiguitySlice, chi
 from .model import (AntennaLayout, DetectionParams, FhCode, RadarConfig,
-                    ValidationError)
+                    ValidationError, _check_seed)
 from .theory import TheoryBound
 
 NULL_THRESHOLD = 0.05  # local minima below this fraction of the peak are nulls
@@ -106,7 +106,7 @@ def bound_gap(s: AmbiguitySlice, bound: TheoryBound, tol: float = 1e-6) -> Bound
 # Monte Carlo detection.
 # ---------------------------------------------------------------------------
 
-_CHUNK = 1_000_000
+_CHUNK = 1 << 16   # trials per chunk: a (_CHUNK, 2) float64 draw buffer is 1 MiB
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,18 +127,25 @@ def _noise_power(seq: np.random.SeedSequence, trials: int, sigma2: float,
 
     Draws are interleaved per trial (re, im), so trial i always consumes
     stream positions 2i and 2i+1 and the result is independent of the
-    chunk size used to bound memory.
+    chunk size.  Every chunk is made in place in one reused draw buffer, and
+    its bits equal the one-shot ``re = amp + z[:, 0]; re*re + im*im`` with
+    ``z = rng.normal(0, s, (trials, 2))``: ``normal(0, s)`` returns
+    ``0 + s*x`` for the same standard ziggurat draws ``x``, so ``s*x`` is the
+    same value, and each later step rounds the same operands in the same order.
     """
     out = np.empty(trials)
     rng = np.random.default_rng(seq)
     scale = np.sqrt(0.5 * sigma2)
+    buf = np.empty((min(_CHUNK, trials), 2))
     pos = 0
     while pos < trials:
         n = min(_CHUNK, trials - pos)
-        z = rng.normal(0.0, scale, size=(n, 2))
-        re = amp + z[:, 0]
-        im = z[:, 1]
-        out[pos:pos + n] = re * re + im * im
+        z = buf[:n]
+        rng.standard_normal(out=z)
+        z *= scale
+        z[:, 0] += amp
+        np.square(z, out=z)
+        np.add(z[:, 0], z[:, 1], out=out[pos:pos + n])
         pos += n
     return out
 
@@ -158,23 +165,20 @@ def detection_probability(layout: AntennaLayout, code: FhCode, cfg: RadarConfig,
     matched = abs(chi(AmbiguityQuery(), layout, code, cfg))
     sigma2 = float(layout.M_t)
 
-    root = np.random.SeedSequence(seed)
+    root = np.random.SeedSequence(_check_seed("seed", seed))
     cal_seq, meas_seq, h1_seq = root.spawn(3)
 
-    t_cal = _noise_power(cal_seq, det.trials, sigma2)
-    threshold = float(np.quantile(t_cal, 1.0 - det.P_fa))
-    del t_cal
-
-    t_meas = _noise_power(meas_seq, det.trials, sigma2)
-    pfa_measured = float(np.mean(t_meas > threshold))
-    del t_meas
+    # Each statistic is left unnamed, so it is freed before the next one is
+    # drawn, and the quantile partitions the calibration draws in place.
+    threshold = float(np.quantile(_noise_power(cal_seq, det.trials, sigma2),
+                                  1.0 - det.P_fa, overwrite_input=True))
+    pfa_measured = float(np.mean(_noise_power(meas_seq, det.trials, sigma2) > threshold))
 
     snr_seqs = h1_seq.spawn(len(det.snr_grid))
     p_d, ci_low, ci_high = [], [], []
     for snr_db, sseq in zip(det.snr_grid, snr_seqs):
         amp = np.sqrt(det.M_r * 10.0 ** (snr_db / 10.0)) * matched
-        stats = _noise_power(sseq, det.trials, sigma2, amp=amp)
-        p = float(np.mean(stats > threshold))
+        p = float(np.mean(_noise_power(sseq, det.trials, sigma2, amp=amp) > threshold))
         half = 1.96 * np.sqrt(max(p * (1.0 - p), 1e-12) / det.trials)
         p_d.append(p)
         ci_low.append(max(0.0, p - half))

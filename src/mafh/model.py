@@ -42,6 +42,14 @@ def _check_integer(name: str, value) -> int:
     return int(value)
 
 
+def _check_seed(name: str, value) -> int:
+    """``value`` as an int seed; numpy's generators take only non-negative ones."""
+    value = _check_integer(name, value)
+    if value < 0:
+        raise ValidationError(f"{name}: expected a non-negative integer, got {value}")
+    return value
+
+
 def _check_numbers(name: str, values) -> np.ndarray:
     """``values`` as a float array; raise unless it is a sequence of finite numbers."""
     if not np.iterable(values):
@@ -269,7 +277,7 @@ def generate_fh_code(cfg: RadarConfig, M_t: int, seed: int) -> FhCode:
         raise ValidationError(
             f"M_t: cannot assign {M_t} distinct hops per subpulse with K = {cfg.K}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed("seed", seed))
     cols = [rng.permutation(cfg.K)[:M_t] + 1 for _ in range(cfg.Q)]
     return FhCode(c=np.stack(cols, axis=1))
 
@@ -295,6 +303,8 @@ def random_feasible_layout(M_t: int, L: float,
     """
     _check_aperture(M_t, L)
     slack = L - 0.5 * (M_t - 1)
+    if not isinstance(seed, np.random.Generator):
+        seed = _check_seed("seed", seed)
     rng = np.random.default_rng(seed)
     z = np.sort(rng.uniform(0.0, 1.0, size=M_t - 1))
     excess = max(slack, 0.0) * np.diff(np.concatenate(([0.0], z)))

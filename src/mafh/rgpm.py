@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FEASIBILITY_TOL, AntennaLayout, ValidationError, _check_aperture
-from .model import _check_integer, equidistant_layout, random_feasible_layout
+from .model import _check_integer, _check_seed, equidistant_layout, random_feasible_layout
 from .objective import ObjectiveEvaluator, _check_alpha
 from .theory import mmlwd_layout
 
@@ -260,6 +260,7 @@ def rgpm_multistart(poly: FeasiblePolytope, ev: ObjectiveEvaluator, alpha,
     Returns (best result, all results).
     """
     n_starts, K_max = _check_descent(n_starts, K_max, T_threshold)
+    seed = _check_seed("seed", seed)
     alpha = _check_alpha(alpha)
     M_t, L = ev.M, poly.L
     starts = [equidistant_layout(M_t, L), mmlwd_layout(M_t, L)]

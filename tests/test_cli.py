@@ -570,6 +570,8 @@ _MALFORMED = {
     "threshold-inf": (None, ["optimize", "--mt", "2", "--budget", "1.2",
                              "--threshold", "inf"]),
     "vmax-inf": (None, ["theory", "--bound", "doppler", "--vmax", "inf"]),
+    # used to reach numpy and fail with "expected non-negative integer"
+    "seed-negative": (None, ["optimize", "--mt", "2", "--budget", "1.2", "--seed", "-5"]),
     "tau-max-nan": (None, ["theory", "--bound", "delay", "--tau-max", "nan"]),
 }
 

@@ -43,6 +43,8 @@ def test_params_defaults():
         (dict(population=1), "population"),
         (dict(generations=2.5), "generations"),
         (dict(population=3.5), "population"),
+        (dict(seed=-1), "seed"),
+        (dict(seed=2.5), "seed"),
     ],
 )
 def test_params_validation(kwargs, field):

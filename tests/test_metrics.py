@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from mafh import (
     random_feasible_layout,
 )
 from mafh.ambiguity import kernel_matrix
+from mafh.metrics import _noise_power
 from mafh.theory import TheoryBound
 
 # Detection figures below were produced by this module at seed 0 and frozen;
@@ -179,17 +181,45 @@ def test_detection_deterministic(cfg, code8, equid8, det_curve):
     assert other.p_d != det_curve.p_d
 
 
+@pytest.mark.parametrize("chunk", [7_001, 40_000, 40_001])
 def test_detection_chunking_invariance(cfg, code8, equid8, det_curve,
-                                       monkeypatch):
+                                       monkeypatch, chunk):
     # chunk size is an implementation detail; the draws must not depend on it
     import mafh.metrics as metrics
-    monkeypatch.setattr(metrics, "_CHUNK", 7_001)
+    monkeypatch.setattr(metrics, "_CHUNK", chunk)
     det = DetectionParams(M_r=8, P_fa=1e-3, snr_grid=(-12.0, -6.0, 0.0),
                           trials=40_000)
     chunked = detection_probability(equid8, code8, cfg, det, seed=0)
     assert chunked.p_d == det_curve.p_d
     assert chunked.threshold == det_curve.threshold
     assert chunked.pfa_measured == det_curve.pfa_measured
+
+
+@pytest.mark.parametrize("amp", [0.0, 3.7])
+def test_noise_power_keeps_the_bits_of_the_one_shot_formula(amp):
+    """The frozen p_d values would not see a one-ulp change in the statistic."""
+    trials, sigma2 = 150_001, 6.0   # two full chunks and a partial; scale sqrt(3)
+    z = np.random.default_rng(np.random.SeedSequence(5)).normal(
+        0.0, np.sqrt(0.5 * sigma2), (trials, 2))
+    re = amp + z[:, 0]
+    im = z[:, 1]
+    want = re * re + im * im
+    got = _noise_power(np.random.SeedSequence(5), trials, sigma2, amp=amp)
+    assert np.array_equal(got, want)
+
+
+def test_detection_working_memory(cfg, code8, equid8):
+    # one trials-long statistic at a time plus one 1 MiB draw buffer: 1.33x
+    trials = 400_000
+    det = DetectionParams(M_r=8, P_fa=1e-3, snr_grid=(-12.0, -6.0, 0.0),
+                          trials=trials)
+    tracemalloc.start()
+    try:
+        detection_probability(equid8, code8, cfg, det, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * trials, peak / (8 * trials)
 
 
 def test_detection_validation(cfg, code8, equid8):
@@ -199,6 +229,9 @@ def test_detection_validation(cfg, code8, equid8):
     with pytest.raises(ValidationError, match="^trials:"):
         detection_probability(equid8, code8, cfg,
                               DetectionParams(P_fa=1e-4, trials=1_000))
+    with pytest.raises(ValidationError, match="^seed:"):
+        detection_probability(equid8, code8, cfg,
+                              DetectionParams(P_fa=1e-3, trials=40_000), seed=-1)
 
 
 @pytest.mark.parametrize("delta_f", [1e6, 1.3e6])

@@ -244,6 +244,21 @@ def test_random_feasible_layout_respects_constraints(seed):
     assert lay.d.sum() <= 9.0 + 1e-9
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, "3", None])
+def test_seeds_must_be_non_negative_integers(cfg, seed):
+    with pytest.raises(ValidationError, match="^seed:"):
+        generate_fh_code(cfg, 4, seed)
+    with pytest.raises(ValidationError, match="^seed:"):
+        random_feasible_layout(4, 3.0, seed)
+
+
+def test_seeds_take_whole_floats_and_generators(cfg):
+    assert_array_equal(generate_fh_code(cfg, 4, 5.0).c, generate_fh_code(cfg, 4, 5).c)
+    rng = np.random.default_rng(7)
+    assert_array_equal(random_feasible_layout(4, 3.0, rng).d,
+                       random_feasible_layout(4, 3.0, np.random.default_rng(7)).d)
+
+
 def test_random_feasible_layout_rejects_tight_budget():
     with pytest.raises(ValidationError, match="cannot fit"):
         random_feasible_layout(8, 3.0, seed=0)

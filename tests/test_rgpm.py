@@ -228,6 +228,10 @@ def test_rgpm_argument_validation(small):
         rgpm_multistart(poly, ev, F1, n_starts=2.5)
     with pytest.raises(ValidationError, match="^K_max:"):
         rgpm_multistart(poly, ev, F1, K_max=2.5)
+    # two starts draw no random layout, so the seed is checked up front
+    for seed in (-1, 2.5):
+        with pytest.raises(ValidationError, match="^seed:"):
+            rgpm_multistart(poly, ev, F1, n_starts=2, seed=seed)
     # whole floats count as integers
     _, results = rgpm_multistart(poly, ev, F1, n_starts=2.0, K_max=3.0)
     assert len(results) == 2 and all(r.trace[-1].k <= 3 for r in results)
