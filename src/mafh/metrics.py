@@ -10,6 +10,8 @@ amplitude and an empirically calibrated threshold.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +108,7 @@ def bound_gap(s: AmbiguitySlice, bound: TheoryBound, tol: float = 1e-6) -> Bound
 # Monte Carlo detection.
 # ---------------------------------------------------------------------------
 
-_CHUNK = 1 << 16   # trials per chunk: a (_CHUNK, 2) float64 draw buffer is 1 MiB
+_CHUNK = 1 << 16   # trials per chunk; each worker owns one 1 MiB (_CHUNK, 2) buffer
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,33 +123,49 @@ class DetectionCurve:
     trials: int
 
 
-def _noise_power(seq: np.random.SeedSequence, trials: int, sigma2: float,
-                 amp: float = 0.0) -> np.ndarray:
-    """|amp + n|^2 for CN(0, sigma2) noise.
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
-    Draws are interleaved per trial (re, im), so trial i always consumes
-    stream positions 2i and 2i+1 and the result is independent of the
-    chunk size.  Every chunk is made in place in one reused draw buffer, and
-    its bits equal the one-shot ``re = amp + z[:, 0]; re*re + im*im`` with
+
+def _chunks(seq: np.random.SeedSequence, trials: int, sigma2: float, amp: float):
+    """Yield (pos, s): s, a view of one reused buffer, is |amp + n|^2 for
+    CN(0, sigma2) noise over trials pos, pos + 1, ...
+
+    Trial i always consumes stream positions 2i and 2i+1 (re, im), so the
+    result is independent of the chunk size, and each chunk is made in place
+    with the bits of the one-shot ``re = amp + z[:, 0]; re*re + im*im`` with
     ``z = rng.normal(0, s, (trials, 2))``: ``normal(0, s)`` returns
-    ``0 + s*x`` for the same standard ziggurat draws ``x``, so ``s*x`` is the
-    same value, and each later step rounds the same operands in the same order.
+    ``0 + s*x`` for the same standard ziggurat draws ``x``, and each later
+    step rounds the same operands in the same order.
     """
-    out = np.empty(trials)
     rng = np.random.default_rng(seq)
     scale = np.sqrt(0.5 * sigma2)
     buf = np.empty((min(_CHUNK, trials), 2))
-    pos = 0
-    while pos < trials:
-        n = min(_CHUNK, trials - pos)
-        z = buf[:n]
+    for pos in range(0, trials, _CHUNK):
+        z = buf[:min(_CHUNK, trials - pos)]
         rng.standard_normal(out=z)
         z *= scale
         z[:, 0] += amp
         np.square(z, out=z)
-        np.add(z[:, 0], z[:, 1], out=out[pos:pos + n])
-        pos += n
+        yield pos, np.add(z[:, 0], z[:, 1], out=z[:, 0])
+
+
+def _noise_power(seq: np.random.SeedSequence, trials: int, sigma2: float,
+                 amp: float = 0.0) -> np.ndarray:
+    """The whole trials-long statistic of ``_chunks``."""
+    out = np.empty(trials)
+    for pos, s in _chunks(seq, trials, sigma2, amp):
+        out[pos:pos + s.size] = s
     return out
+
+
+def _exceed_fraction(seq: np.random.SeedSequence, trials: int, sigma2: float,
+                     amp: float, threshold: float) -> float:
+    """``np.mean(_noise_power(...) > threshold)`` to the bit, without the array."""
+    return sum(int(np.count_nonzero(s > threshold))
+               for _, s in _chunks(seq, trials, sigma2, amp)) / trials
 
 
 def detection_probability(layout: AntennaLayout, code: FhCode, cfg: RadarConfig,
@@ -159,8 +177,9 @@ def detection_probability(layout: AntennaLayout, code: FhCode, cfg: RadarConfig,
     The matched-filter output is a = sqrt(M_r * snr) * |chi(0,0,0,0)| plus
     CN(0, M_t) noise (M_t unit-energy element channels; the receive array adds
     the scalar gain M_r).  The square-law statistic |a + n|^2 is compared with
-    a threshold calibrated on ``det.trials`` noise-only draws; an independent
-    stream reports the measured false-alarm rate.  Chunking never moves a draw.
+    a threshold calibrated on ``det.trials`` noise-only draws.  Independent
+    streams, counted on at most one thread per usable core, give the measured
+    P_fa and each SNR point's P_d; no thread count or chunk size moves a draw.
     """
     matched = abs(chi(AmbiguityQuery(), layout, code, cfg))
     sigma2 = float(layout.M_t)
@@ -168,23 +187,19 @@ def detection_probability(layout: AntennaLayout, code: FhCode, cfg: RadarConfig,
     root = np.random.SeedSequence(_check_seed("seed", seed))
     cal_seq, meas_seq, h1_seq = root.spawn(3)
 
-    # Each statistic is left unnamed, so it is freed before the next one is
-    # drawn, and the quantile partitions the calibration draws in place.
+    # Only calibration keeps a trials-long statistic; quantile partitions it in place.
     threshold = float(np.quantile(_noise_power(cal_seq, det.trials, sigma2),
                                   1.0 - det.P_fa, overwrite_input=True))
-    pfa_measured = float(np.mean(_noise_power(meas_seq, det.trials, sigma2) > threshold))
 
-    snr_seqs = h1_seq.spawn(len(det.snr_grid))
-    p_d, ci_low, ci_high = [], [], []
-    for snr_db, sseq in zip(det.snr_grid, snr_seqs):
-        amp = np.sqrt(det.M_r * 10.0 ** (snr_db / 10.0)) * matched
-        p = float(np.mean(_noise_power(sseq, det.trials, sigma2, amp=amp) > threshold))
-        half = 1.96 * np.sqrt(max(p * (1.0 - p), 1e-12) / det.trials)
-        p_d.append(p)
-        ci_low.append(max(0.0, p - half))
-        ci_high.append(min(1.0, p + half))
-
+    seqs = [meas_seq] + h1_seq.spawn(len(det.snr_grid))
+    amps = [0.0] + [np.sqrt(det.M_r * 10.0 ** (snr_db / 10.0)) * matched
+                    for snr_db in det.snr_grid]
+    with ThreadPoolExecutor(min(_usable_cores(), len(seqs))) as pool:
+        pfa_measured, *p_d = pool.map(lambda sq, amp: _exceed_fraction(
+            sq, det.trials, sigma2, amp, threshold), seqs, amps)
+    half = [1.96 * np.sqrt(max(p * (1.0 - p), 1e-12) / det.trials) for p in p_d]
     return DetectionCurve(snr_db=tuple(det.snr_grid), p_d=tuple(p_d),
-                          ci_low=tuple(ci_low), ci_high=tuple(ci_high),
+                          ci_low=tuple(max(0.0, p - h) for p, h in zip(p_d, half)),
+                          ci_high=tuple(min(1.0, p + h) for p, h in zip(p_d, half)),
                           threshold=threshold, pfa_target=det.P_fa,
                           pfa_measured=pfa_measured, trials=det.trials)

@@ -1,4 +1,6 @@
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +24,8 @@ from mafh import (
     random_feasible_layout,
 )
 from mafh.ambiguity import kernel_matrix
-from mafh.metrics import _noise_power
+from mafh import metrics
+from mafh.metrics import _exceed_fraction, _noise_power
 from mafh.theory import TheoryBound
 
 # Detection figures below were produced by this module at seed 0 and frozen;
@@ -206,6 +209,55 @@ def test_noise_power_keeps_the_bits_of_the_one_shot_formula(amp):
     want = re * re + im * im
     got = _noise_power(np.random.SeedSequence(5), trials, sigma2, amp=amp)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("chunk", [None, 7_001])
+@pytest.mark.parametrize("workers", [1, 4])
+def test_detection_does_not_depend_on_the_thread_count(
+        cfg, code8, equid8, det_curve, monkeypatch, workers, chunk):
+    monkeypatch.setattr(metrics, "_usable_cores", lambda: workers)
+    if chunk is not None:
+        monkeypatch.setattr(metrics, "_CHUNK", chunk)
+    det = DetectionParams(M_r=8, P_fa=1e-3, snr_grid=(-12.0, -6.0, 0.0),
+                          trials=40_000)
+    got = detection_probability(equid8, code8, cfg, det, seed=0)
+    assert got.p_d == det_curve.p_d
+    assert got.threshold == det_curve.threshold
+    assert got.pfa_measured == det_curve.pfa_measured
+
+
+@pytest.mark.parametrize("amp", [0.0, 3.7])
+def test_exceed_fraction_counts_strict_exceedances_chunk_by_chunk(amp):
+    trials, sigma2 = 150_001, 6.0   # two full chunks and a partial
+    stat = _noise_power(np.random.SeedSequence(5), trials, sigma2, amp=amp)
+    t = float(stat[trials // 3])    # a drawn value, so ">" and ">=" differ
+    got = _exceed_fraction(np.random.SeedSequence(5), trials, sigma2, amp, t)
+    assert got == np.mean(stat > t)
+    assert got != np.mean(stat >= t)
+
+
+def test_detection_pool_has_no_more_workers_than_tasks(cfg, code8, equid8,
+                                                        monkeypatch):
+    sizes = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(metrics, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(metrics, "_usable_cores", lambda: 64)
+    det = DetectionParams(M_r=8, P_fa=1e-3, snr_grid=(0.0,), trials=40_000)
+    detection_probability(equid8, code8, cfg, det, seed=0)
+    assert sizes == [2]     # measured P_fa and one SNR point
+
+
+def test_detection_leaves_no_thread_behind(cfg, code8, equid8):
+    det = DetectionParams(M_r=8, P_fa=1e-3, snr_grid=(-12.0, -6.0, 0.0),
+                          trials=40_000)
+    before = threading.active_count()
+    detection_probability(equid8, code8, cfg, det, seed=0)
+    assert threading.active_count() == before
 
 
 def test_detection_working_memory(cfg, code8, equid8):
