@@ -22,10 +22,10 @@ import numpy as np
 from .ambiguity import _check_pair, af_slice, matched_cut
 from .ga import GaParams, ga_optimize
 from .metrics import detection_probability
-from .model import (AntennaLayout, FhCode, ValidationError, _check_number,
-                    _check_seed, _read_json, config_to_dict, equidistant_layout,
-                    generate_fh_code, load_fh_code, load_layout, parse_config,
-                    random_feasible_layout)
+from .model import (AntennaLayout, FhCode, ValidationError, _check_integer,
+                    _check_number, _check_seed, _read_json, config_to_dict,
+                    equidistant_layout, generate_fh_code, load_fh_code,
+                    load_layout, parse_config, random_feasible_layout)
 from .objective import ObjectiveEvaluator, _check_alpha, build_grid
 from .output import write_csv, write_json
 from .rgpm import FeasiblePolytope, _check_descent, rgpm_multistart
@@ -183,7 +183,8 @@ def _sweep_rows(kind: str, M_t: int, L: float, theta: float, lo, hi, points):
         geometry = [(val, (M_t, float(val), theta))
                     for val in np.linspace(lo, float(hi), int(points))]
     elif kind == "Mt":
-        geometry = [(m, (m, L, theta)) for m in range(int(lo), int(hi) + 1)]
+        lo, hi = _check_integer("--sweep-lo", lo), _check_integer("--sweep-hi", hi)
+        geometry = [(m, (m, L, theta)) for m in range(lo, hi + 1)]
     else:
         geometry = [(th, (M_t, L, float(th)))
                     for th in np.linspace(float(lo), float(hi), int(points))]
@@ -209,6 +210,8 @@ def cmd_theory(args) -> int:
         lo = args.sweep_lo if args.sweep_lo is not None else d_lo
         hi = args.sweep_hi if args.sweep_hi is not None else d_hi
         pts = args.sweep_points if args.sweep_points is not None else d_pts
+        if pts is not None and pts < 1:
+            raise ValidationError(f"--sweep-points: expected >= 1, got {pts}")
         rows, skipped = _sweep_rows(args.sweep, M_t, L, args.theta, lo, hi, pts)
         col = {"L": "L", "Mt": "M_t", "theta": "theta"}[args.sweep]
         path = out / f"theory_width_{args.sweep}.csv"
@@ -224,16 +227,14 @@ def cmd_theory(args) -> int:
     if args.points < 2:
         raise ValidationError(f"points: expected at least 2, got {args.points}")
     code = _code_for(args, cfg, M_t)
-    if args.bound == "doppler":
-        vmax = args.vmax if args.vmax is not None else cfg.f_max
-        _check_number("vmax", vmax)
-        coords = np.linspace(-vmax, vmax, args.points)
-        bound = doppler_lower_bound(coords, code, cfg, M_t)
-    else:
-        tmax = args.tau_max if args.tau_max is not None else cfg.T_w
-        _check_number("tau_max", tmax)
-        coords = np.linspace(-tmax, tmax, args.points)
-        bound = delay_lower_bound(coords, code, cfg, M_t)
+    name, default, lower_bound = {
+        "doppler": ("vmax", cfg.f_max, doppler_lower_bound),
+        "delay": ("tau_max", cfg.T_w, delay_lower_bound)}[args.bound]
+    half = default if getattr(args, name) is None else getattr(args, name)
+    if not 0 < half < np.inf:
+        raise ValidationError(f"{name}: expected a finite half-width > 0, got {half}")
+    coords = np.linspace(-half, half, args.points)
+    bound = lower_bound(coords, code, cfg, M_t)
 
     cols = {"coord": coords, "bound": bound.lower}
     if args.layout is not None:
@@ -255,7 +256,7 @@ def cmd_theory(args) -> int:
 
 def _objective_record(ev: ObjectiveEvaluator, alpha, layout: AntennaLayout) -> dict:
     g = ev.grid
-    f1, f2, f3 = ev.f1(layout.d), ev.f2(layout.d), ev.f3(layout.d)
+    f1, f2, f3 = (ev.f_weighted(layout.d, unit) for unit in np.eye(3))
     return {
         "alpha": list(alpha),
         "layout": [float(v) for v in layout.d],

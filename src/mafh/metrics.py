@@ -22,6 +22,7 @@ from .model import (AntennaLayout, DetectionParams, FhCode, RadarConfig,
 from .theory import TheoryBound
 
 NULL_THRESHOLD = 0.05  # local minima below this fraction of the peak are nulls
+GAP_TOL = 1e-6         # |chi| below its lower bound by more than this is a violation
 
 
 @dataclass(frozen=True)
@@ -91,17 +92,17 @@ def measure_lobes(s: AmbiguitySlice, null_threshold: float = NULL_THRESHOLD) -> 
 @dataclass(frozen=True)
 class BoundGap:
     min_gap: float
-    violation_count: int    # samples with |chi| < bound - 1e-6
+    violation_count: int    # samples with |chi| < bound - GAP_TOL
 
 
-def bound_gap(s: AmbiguitySlice, bound: TheoryBound, tol: float = 1e-6) -> BoundGap:
+def bound_gap(s: AmbiguitySlice, bound: TheoryBound) -> BoundGap:
     """Pointwise slack between a slice and its lower bound (grids must match)."""
     if s.coords.shape != bound.coords.shape or not np.allclose(
             s.coords, bound.coords, rtol=1e-12, atol=1e-12):
         raise ValidationError("bound_gap: slice and bound grids do not match")
     gap = s.values - bound.lower
     return BoundGap(min_gap=float(gap.min()),
-                    violation_count=int(np.count_nonzero(gap < -tol)))
+                    violation_count=int(np.count_nonzero(gap < -GAP_TOL)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ Three mismatch energies are minimized over the spacing vector d:
     f2: |chi(0, v, theta, theta)|^2 over theta and v in [-f_max, f_max];
     f3: |chi(tau, 0, theta, theta)|^2 over theta and tau in [-T_w, T_w];
 
-each as a closed Riemann sum (both endpoints sampled, n+1 points per axis)
-with the weighted combination f = alpha1*f1 + alpha2*f2 + alpha3*f3; alpha
-is an argument of each weighted evaluation and no part of the grid.
+each as a closed Riemann sum (both endpoints sampled, n+1 points per axis),
+and f = alpha1*f1 + alpha2*f2 + alpha3*f3 at the weights alpha of each call,
+which are no part of the grid; a unit weight such as (0, 1, 0) gives f2 alone.
 
 The Doppler and delay axes enter the cell weights in subpulse units
 (v*delta_t and tau/delta_t) so that all three objectives are commensurate
@@ -155,7 +155,6 @@ class ObjectiveEvaluator:
 
     def __init__(self, grid: ObjectiveGrid, code: FhCode, cfg: RadarConfig):
         self.grid = grid
-        self.cfg = cfg
         self.M = code.M_t
         # each objective keeps only its cell-weighted Gram matrix, not its table
         G1 = kernel_matrix(0.0, 0.0, code, cfg)
@@ -164,14 +163,6 @@ class ObjectiveEvaluator:
         w = grid.w_theta23 / cfg.Q ** 2
         self._h2 = _gram(kernel_matrix(0.0, grid.v_samples, code, cfg), w * grid.d_v)
         self._h3 = _gram(kernel_matrix(grid.tau_samples, 0.0, code, cfg), w * grid.d_tau)
-
-    def _positions(self, d) -> np.ndarray:
-        d = np.asarray(d, dtype=float)
-        if d.shape != (self.M - 1,):
-            raise ValidationError(
-                f"d: expected {self.M - 1} spacings for this code, got shape {d.shape}"
-            )
-        return np.concatenate(([0.0], np.cumsum(d)))
 
     # -- the Hermitian form ------------------------------------------------------
     #
@@ -212,38 +203,35 @@ class ObjectiveEvaluator:
 
     # -- objective values and gradient -------------------------------------------
 
-    def f1(self, d) -> float:
-        """Angular mismatch energy of the spacings ``d``."""
-        return self._square(self._positions(d), False)[0]
-
-    def f2(self, d) -> float:
-        """Doppler mismatch energy of the spacings ``d``."""
-        return self._cut(self._positions(d), self._h2, False)[0]
-
-    def f3(self, d) -> float:
-        """Delay mismatch energy of the spacings ``d``."""
-        return self._cut(self._positions(d), self._h3, False)[0]
+    def _weighted(self, d, alpha, grad: bool):
+        """(f, df/dd or None): f2 and f3 in one contraction, zero-weight terms skipped."""
+        d = np.asarray(d, dtype=float)
+        if d.shape != (self.M - 1,):
+            raise ValidationError(f"d: expected {self.M - 1} spacings for this code, "
+                                  f"got shape {d.shape}")
+        x = np.concatenate(([0.0], np.cumsum(d)))   # element positions
+        a1, a2, a3 = _check_alpha(alpha)
+        f, gx = 0.0, np.zeros(self.M) if grad else None
+        if a1 > 0.0:
+            f1, g1 = self._square(x, grad)
+            f = a1 * f1
+            if grad:
+                gx += a1 * g1
+        if a2 > 0.0 or a3 > 0.0:
+            f23, g23 = self._cut(x, a2 * self._h2 + a3 * self._h3, grad)
+            f += f23
+            if grad:
+                gx += g23
+        # x_m = d_1 + ... + d_m, so df/dd_i = sum_{m >= i} df/dx_m
+        return f, np.cumsum(gx[::-1])[::-1][1:] if grad else None
 
     def f_weighted(self, d, alpha) -> float:
-        """alpha-weighted combination: f2 and f3 in one contraction, zero-weight terms skipped."""
-        x = self._positions(d)
-        a1, a2, a3 = _check_alpha(alpha)
-        f = a1 * self._square(x, False)[0] if a1 > 0.0 else 0.0
-        if a2 > 0.0 or a3 > 0.0:
-            f += self._cut(x, a2 * self._h2 + a3 * self._h3, False)[0]
-        return f
+        """alpha-weighted objective of the spacings ``d``; unit weights give one domain."""
+        return self._weighted(d, alpha, False)[0]
 
     def grad_f_weighted(self, d, alpha) -> np.ndarray:
         """Analytic gradient of f_weighted w.r.t. the M_t - 1 spacings."""
-        x = self._positions(d)
-        a1, a2, a3 = _check_alpha(alpha)
-        gx = np.zeros(self.M)
-        if a1 > 0.0:
-            gx += a1 * self._square(x, True)[1]
-        if a2 > 0.0 or a3 > 0.0:
-            gx += self._cut(x, a2 * self._h2 + a3 * self._h3, True)[1]
-        # x_m = d_1 + ... + d_m, so df/dd_i = sum_{m >= i} df/dx_m
-        return np.cumsum(gx[::-1])[::-1][1:]
+        return self._weighted(d, alpha, True)[1]
 
 
 def finite_diff_grad(ev: ObjectiveEvaluator, alpha, d, h: float = 1e-6) -> np.ndarray:

@@ -275,8 +275,7 @@ def test_criterion_09_budget_sweep_reaches_plateau(cfg, code8):
                 best = rgpm_optimize(AntennaLayout(d=prev[alpha], L=float(L)),
                                      poly, ev, alpha)
             prev[alpha] = best.layout.d
-            comp = full.f2 if name == "doppler-energy" else full.f3
-            energy[alpha].append(comp(best.layout.d))
+            energy[alpha].append(full.f_weighted(best.layout.d, alpha))   # unit weight
     summary = []
     ok = True
     for alpha, name in domains.items():
@@ -325,9 +324,9 @@ def test_criterion_11_weight_sweep_correlations(poly8, ev8):
     for alpha in triples:
         best, _ = rgpm_multistart(poly8, ev8, alpha, n_starts=4, seed=0)
         d = best.layout.d
-        f1s.append(ev8.f1(d))
-        f2s.append(ev8.f2(d))
-        f3s.append(ev8.f3(d))
+        f1s.append(ev8.f_weighted(d, (1, 0, 0)))
+        f2s.append(ev8.f_weighted(d, (0, 1, 0)))
+        f3s.append(ev8.f_weighted(d, (0, 0, 1)))
     own = [float(stats.spearmanr([a[k] for a in triples], fs).statistic)
            for k, fs in enumerate((f1s, f2s, f3s))]
     r13 = float(stats.spearmanr(f1s, f3s).statistic)

@@ -117,5 +117,5 @@ def test_sweep_check_recomputes_evaluator_objectives(bench, tmp_path):
     ref = AntennaLayout(d=np.full(7, 0.5), L=7.0)
     ev = ObjectiveEvaluator(build_grid(cfg, ref), generate_fh_code(cfg, 8, 0),
                             cfg)
-    want = (ev.f1(lay.d), ev.f2(lay.d), ev.f3(lay.d))
+    want = tuple(ev.f_weighted(lay.d, unit) for unit in np.eye(3))
     np.testing.assert_allclose(fs, want, rtol=1e-9, atol=0)

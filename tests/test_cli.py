@@ -573,6 +573,15 @@ _MALFORMED = {
     # used to reach numpy and fail with "expected non-negative integer"
     "seed-negative": (None, ["optimize", "--mt", "2", "--budget", "1.2", "--seed", "-5"]),
     "tau-max-nan": (None, ["theory", "--bound", "delay", "--tau-max", "nan"]),
+    # used to write one point three times, or a descending grid
+    "tau-max-zero": (None, ["theory", "--bound", "delay", "--tau-max", "0",
+                            "--points", "3"]),
+    "vmax-negative": (None, ["theory", "--bound", "doppler", "--vmax", "-5"]),
+    # used to reach numpy and fail with "Number of samples, -1, must be non-negative"
+    "sweep-points-negative": (None, ["theory", "--sweep", "L", "--sweep-points", "-1"]),
+    # used to sweep from M_t = 2
+    "sweep-mt-fractional": (None, ["theory", "--sweep", "Mt", "--sweep-lo", "2.7"]),
+    "sweep-mt-inf": (None, ["theory", "--sweep", "Mt", "--sweep-hi", "inf"]),
 }
 
 

@@ -109,7 +109,7 @@ def test_f1_closed_rule_converges_to_bessel_integral(cfg, code8, ev8):
         lay = random_feasible_layout(8, 7.0, seed=seed)
         U = np.pi * special.j0(2 * np.pi * np.subtract.outer(lay.x, lay.x))
         exact = np.einsum("mn,pq,mp,nq->", G, G.conj(), U, U.conj()).real / cfg.Q ** 2
-        gaps = np.array([ev.f1(lay.d) for ev in evs]) - exact
+        gaps = np.array([ev.f_weighted(lay.d, (1, 0, 0)) for ev in evs]) - exact
         print(f"seed {seed}: f1 {gaps[0] + exact:.3f} on the default grid, "
               f"integral {exact:.3f}, gap ratios {np.round(gaps[1:] / gaps[:-1], 3)}")
         assert np.all(gaps > 0)
@@ -150,16 +150,16 @@ def test_grid_theta_eval_mode(cfg, equid8):
 
 
 def test_frozen_objectives_equidistant(ev8, equid8):
-    assert_allclose(ev8.f1(equid8.d), 116.370402, rtol=1e-8)
-    assert_allclose(ev8.f2(equid8.d), 81.348069, rtol=1e-8)
-    assert_allclose(ev8.f3(equid8.d), 49.085063, rtol=1e-8)
+    assert_allclose(ev8.f_weighted(equid8.d, (1, 0, 0)), 116.370402, rtol=1e-8)
+    assert_allclose(ev8.f_weighted(equid8.d, (0, 1, 0)), 81.348069, rtol=1e-8)
+    assert_allclose(ev8.f_weighted(equid8.d, (0, 0, 1)), 49.085063, rtol=1e-8)
 
 
 def test_matched_diagonal_floor(ev8, equid8):
     # the n1+1 matched samples alone contribute M_t^2 * cell each to f1
     g = ev8.grid
     floor = 64.0 * (g.n1 + 1) * g.d_theta ** 2
-    assert ev8.f1(equid8.d) >= floor
+    assert ev8.f_weighted(equid8.d, (1, 0, 0)) >= floor
 
 
 def test_single_antenna_degenerate(cfg):
@@ -168,7 +168,8 @@ def test_single_antenna_degenerate(cfg):
     code = generate_fh_code(cfg, 1, seed=0)
     g = build_grid(cfg, lay)
     want = (np.pi * (1 + 1 / g.n1)) ** 2  # (n1+1 samples) x (pi/n1 weight), squared
-    assert_allclose(ObjectiveEvaluator(g, code, cfg).f1(lay.d), want, rtol=1e-12)
+    ev = ObjectiveEvaluator(g, code, cfg)
+    assert_allclose(ev.f_weighted(lay.d, (1, 0, 0)), want, rtol=1e-12)
 
 
 def test_f2_single_element_reduction():
@@ -179,7 +180,8 @@ def test_f2_single_element_reduction():
     g = build_grid(cfg, lay)
     want = (np.sinc(g.v_samples * cfg.delta_t) ** 2).sum() * g.d_v \
         * g.theta_f23.size * g.w_theta23
-    assert_allclose(ObjectiveEvaluator(g, code, cfg).f2(lay.d), want, rtol=1e-12)
+    ev = ObjectiveEvaluator(g, code, cfg)
+    assert_allclose(ev.f_weighted(lay.d, (0, 1, 0)), want, rtol=1e-12)
 
 
 def test_f3_single_element_reduction():
@@ -189,18 +191,23 @@ def test_f3_single_element_reduction():
     g = build_grid(cfg, lay)
     tri = np.clip(1.0 - np.abs(g.tau_samples) / cfg.delta_t, 0.0, None)
     want = (tri ** 2).sum() * g.d_tau * g.theta_f23.size * g.w_theta23
-    assert_allclose(ObjectiveEvaluator(g, code, cfg).f3(lay.d), want, rtol=1e-12)
+    ev = ObjectiveEvaluator(g, code, cfg)
+    assert_allclose(ev.f_weighted(lay.d, (0, 0, 1)), want, rtol=1e-12)
 
 
-def test_weight_collapse(ev8, equid8):
-    assert_allclose(ev8.f_weighted(equid8.d, (1, 0, 0)), ev8.f1(equid8.d),
+def test_mixed_weights_match_single_domains(ev8):
+    # the fused a2*H2 + a3*H3 contraction against the single-domain ones
+    d = random_feasible_layout(8, 7.0, seed=5).d
+    assert_allclose(ev8.f_weighted(d, (0, .5, .5)),
+                    .5 * ev8.f_weighted(d, (0, 1, 0)) + .5 * ev8.f_weighted(d, (0, 0, 1)),
                     rtol=1e-12)
-    assert_allclose(ev8.f_weighted(equid8.d, (0, 0, 1)), ev8.f3(equid8.d),
-                    rtol=1e-12)
+    assert_allclose(ev8.grad_f_weighted(d, (0, .5, .5)),
+                    .5 * ev8.grad_f_weighted(d, (0, 1, 0))
+                    + .5 * ev8.grad_f_weighted(d, (0, 0, 1)), rtol=1e-12)
 
 
 def test_weighted_convex_combination(ev8, equid8):
-    parts = [ev8.f1(equid8.d), ev8.f2(equid8.d), ev8.f3(equid8.d)]
+    parts = [ev8.f_weighted(equid8.d, unit) for unit in ALPHA_CORNERS]
     f = ev8.f_weighted(equid8.d, (1 / 3, 1 / 3, 1 / 3))
     assert min(parts) <= f <= max(parts)
 
