@@ -178,16 +178,16 @@ _SWEEP_DEFAULTS = {
 
 
 def _sweep_rows(kind: str, M_t: int, L: float, theta: float, lo, hi, points):
-    if kind == "L":
-        lo = 0.5 * (M_t - 1) if lo is None else float(lo)
-        geometry = [(val, (M_t, float(val), theta))
-                    for val in np.linspace(lo, float(hi), int(points))]
-    elif kind == "Mt":
+    if kind == "Mt":
         lo, hi = _check_integer("--sweep-lo", lo), _check_integer("--sweep-hi", hi)
         geometry = [(m, (m, L, theta)) for m in range(lo, hi + 1)]
     else:
-        geometry = [(th, (M_t, L, float(th)))
-                    for th in np.linspace(float(lo), float(hi), int(points))]
+        lo, hi = 0.5 * (M_t - 1) if lo is None else float(lo), float(hi)
+        if not -np.inf < lo < hi < np.inf:
+            raise ValidationError(f"--sweep {kind}: expected finite lo < hi, "
+                                  f"got [{lo}, {hi}]")
+        geometry = [(val, (M_t, float(val), theta) if kind == "L" else (M_t, L, float(val)))
+                    for val in np.linspace(lo, hi, int(points))]
     rows, skipped = [], 0
     for val, shape in geometry:
         try:

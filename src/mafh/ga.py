@@ -4,8 +4,10 @@ Chromosome = spacing vector.  Tournament selection (size 2), blend
 crossover (per-gene uniform mix), additive Gaussian mutation, elitism of one,
 and a repair step that first clamps genes to the half-wavelength floor and
 then scales the excess above the floor down until the aperture budget holds.
-Everything is driven by one seeded generator, so results are deterministic
-in (params, evaluator, weights).
+Each generation is scored in one ``ObjectiveEvaluator.f_weighted`` call on
+the stack of its layouts (the initial population, then the children; the
+elite keeps its known fitness).  Everything is driven by one seeded
+generator, so results are deterministic in (params, evaluator, weights).
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def ga_optimize(poly: FeasiblePolytope, ev: ObjectiveEvaluator, alpha,
 
     pop = np.array([random_feasible_layout(n + 1, L, rng).d
                     for _ in range(params.population)])
-    fit = np.array([ev.f_weighted(ind, alpha) for ind in pop])
+    fit = ev.f_weighted(pop, alpha)
     trace = [float(fit.min())]
 
     for _ in range(params.generations):
@@ -94,7 +96,7 @@ def ga_optimize(poly: FeasiblePolytope, ev: ObjectiveEvaluator, alpha,
             children.append(_repair(child, L))
         pop = np.asarray(children)
         # the elite re-enters unchanged, so its fitness is not recomputed
-        fit = np.array([elite_fit] + [ev.f_weighted(ind, alpha) for ind in pop[1:]])
+        fit = np.concatenate(([elite_fit], ev.f_weighted(pop[1:], alpha)))
         trace.append(float(fit.min()))
 
     best = int(np.argmin(fit))

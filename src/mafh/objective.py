@@ -35,6 +35,9 @@ alpha2*H2 + alpha3*H3.  Only the array steering phase depends on d, so the
 gradient is taken with respect to the element positions x_m, all M
 partials from the same contraction, and carried to the spacings through
 x_m = sum_{i<=m} d_i: df/dd_i = sum_{m>=i} df/dx_m.
+
+A call takes one spacing vector or an (N, M_t - 1) stack, such as a GA
+generation; each row runs the one-layout contraction, so it gives the same bits.
 """
 
 from __future__ import annotations
@@ -143,7 +146,7 @@ def _gram(G: np.ndarray, weight: float) -> np.ndarray:
 
 
 class ObjectiveEvaluator:
-    """Grid-bound objective/gradient engine operating on raw spacing vectors.
+    """Grid-bound objective/gradient engine on raw spacing vectors, one or a stack.
 
     The Gram matrices H1, H2, H3 depend on (grid, code, cfg) only, not on
     the weights.  They are built here, once, read-only, and serve every
@@ -174,21 +177,22 @@ class ObjectiveEvaluator:
     # with each term a a^H weighted by the sine of its angle.
 
     def _form(self, O: np.ndarray, S: np.ndarray | None, H: np.ndarray):
-        """sum_i o_i^H H o_i over the rows of O; S holds their sine-weighted twins."""
+        """sum_i o_i^H H o_i over the rows of O per layout; S: their sine-weighted twins."""
         HO = O.conj() @ H
-        f = float((O * HO).real.sum())
+        f = (O * HO).real.sum(axis=(-2, -1))
         if S is None:
             return f, None
-        K = (S * HO).sum(axis=0).reshape(self.M, self.M)
-        return f, -4.0 * np.pi * (K.sum(axis=1) - K.sum(axis=0)).imag
+        K = (S * HO).sum(axis=-2).reshape(O.shape[:-2] + (self.M, self.M))
+        return f, -4.0 * np.pi * (K.sum(axis=-1) - K.sum(axis=-2)).imag
 
     def _square(self, x: np.ndarray, grad: bool):
         """f1 = u^H H1 u with the single row u = vec(sum_t a(theta_t) a(theta_t)^H)."""
         theta = self.grid.theta_samples
-        A = steering(theta, x)
-        Ac = A.conj()
-        S = ((A.T * np.sin(theta)) @ Ac).reshape(1, -1) if grad else None
-        return self._form((A.T @ Ac).reshape(1, -1), S, self._h1)
+        A = np.swapaxes(steering(theta, x), 0, -2)   # (..., T, M); no-op for one layout
+        At, Ac = np.swapaxes(A, -1, -2), A.conj()
+        row = x.shape[:-1] + (1, -1)
+        S = ((At * np.sin(theta)) @ Ac).reshape(row) if grad else None
+        return self._form((At @ Ac).reshape(row), S, self._h1)
 
     def _cut(self, x: np.ndarray, H: np.ndarray, grad: bool):
         """f2/f3 = sum_t o_t^H H o_t with o_t = vec(a(theta_t) a(theta_t)^H).
@@ -197,8 +201,8 @@ class ObjectiveEvaluator:
         cuts cost one contraction.
         """
         theta = self.grid.theta_f23
-        A = steering(theta, x)
-        O = (A[:, :, None] * A.conj()[:, None, :]).reshape(theta.size, -1)
+        A = np.swapaxes(steering(theta, x), 0, -2)
+        O = (A[..., :, None] * A.conj()[..., None, :]).reshape(A.shape[:-1] + (-1,))
         return self._form(O, np.sin(theta)[:, None] * O if grad else None, H)
 
     # -- objective values and gradient -------------------------------------------
@@ -206,12 +210,13 @@ class ObjectiveEvaluator:
     def _weighted(self, d, alpha, grad: bool):
         """(f, df/dd or None): f2 and f3 in one contraction, zero-weight terms skipped."""
         d = np.asarray(d, dtype=float)
-        if d.shape != (self.M - 1,):
+        if d.ndim not in (1, 2) or d.shape[-1] != self.M - 1:
             raise ValidationError(f"d: expected {self.M - 1} spacings for this code, "
                                   f"got shape {d.shape}")
-        x = np.concatenate(([0.0], np.cumsum(d)))   # element positions
+        x = np.concatenate((np.zeros(d.shape[:-1] + (1,)), np.cumsum(d, axis=-1)),
+                           axis=-1)   # element positions
         a1, a2, a3 = _check_alpha(alpha)
-        f, gx = 0.0, np.zeros(self.M) if grad else None
+        f, gx = 0.0, np.zeros(x.shape) if grad else None
         if a1 > 0.0:
             f1, g1 = self._square(x, grad)
             f = a1 * f1
@@ -222,15 +227,16 @@ class ObjectiveEvaluator:
             f += f23
             if grad:
                 gx += g23
+        f = f if d.ndim == 2 else float(f)
         # x_m = d_1 + ... + d_m, so df/dd_i = sum_{m >= i} df/dx_m
-        return f, np.cumsum(gx[::-1])[::-1][1:] if grad else None
+        return f, np.cumsum(gx[..., ::-1], axis=-1)[..., ::-1][..., 1:] if grad else None
 
-    def f_weighted(self, d, alpha) -> float:
-        """alpha-weighted objective of the spacings ``d``; unit weights give one domain."""
+    def f_weighted(self, d, alpha):
+        """Weighted objective of ``d``, or of each row of a stack; unit weights: one domain."""
         return self._weighted(d, alpha, False)[0]
 
     def grad_f_weighted(self, d, alpha) -> np.ndarray:
-        """Analytic gradient of f_weighted w.r.t. the M_t - 1 spacings."""
+        """Analytic gradient of f_weighted w.r.t. the M_t - 1 spacings (per row of a stack)."""
         return self._weighted(d, alpha, True)[1]
 
 

@@ -90,7 +90,7 @@ def test_detect_simulates_once_under_the_full_tracer(bench, tmp_path, capsys):
     assert detections[0][6]["draws"] == 40000 * (2 + 3)
 
 
-@pytest.mark.parametrize("name", ["screen", "sweep", "detect"])
+@pytest.mark.parametrize("name", ["screen", "sweep", "ga", "detect"])
 def test_workload_pass_passes_its_check(bench, tmp_path, name):
     """One pass as an untraced benchmark run makes it, then its check.
 

@@ -582,6 +582,14 @@ _MALFORMED = {
     # used to sweep from M_t = 2
     "sweep-mt-fractional": (None, ["theory", "--sweep", "Mt", "--sweep-lo", "2.7"]),
     "sweep-mt-inf": (None, ["theory", "--sweep", "Mt", "--sweep-hi", "inf"]),
+    # used to write a descending grid, one row three times, or to drop rows
+    # after numpy "invalid value" warnings
+    "sweep-l-descending": (None, ["theory", "--sweep", "L", "--sweep-lo", "10",
+                                  "--sweep-hi", "5"]),
+    "sweep-l-below-default-lo": (None, ["theory", "--sweep", "L", "--sweep-hi", "2"]),
+    "sweep-theta-empty": (None, ["theory", "--sweep", "theta", "--sweep-lo", "0",
+                                 "--sweep-hi", "0", "--sweep-points", "3"]),
+    "sweep-l-inf": (None, ["theory", "--sweep", "L", "--sweep-lo", "inf"]),
 }
 
 

@@ -139,16 +139,30 @@ def test_ga_tracks_gradient_optimizer(small):
 
 
 def test_ga_scores_each_individual_once(small, monkeypatch):
-    # the elite re-enters each generation with its fitness already known
+    # one stacked call per generation; the elite re-enters with its fitness known
     ev, poly = small
-    calls = []
+    rows = []
     f_weighted = ev.f_weighted
 
     def counted(d, alpha):
-        calls.append(d)
+        rows.append(np.atleast_2d(d).shape[0])
         return f_weighted(d, alpha)
 
     monkeypatch.setattr(ev, "f_weighted", counted)
     p = GaParams(generations=5, population=6, seed=3)
     ga_optimize(poly, ev, F1, p)
-    assert len(calls) == p.population + p.generations * (p.population - 1)
+    assert len(rows) == p.generations + 1
+    assert sum(rows) == p.population + p.generations * (p.population - 1)
+
+
+def test_ga_stacked_scoring_matches_row_by_row(ev8, poly8, monkeypatch):
+    p = GaParams(generations=6, population=8, seed=2)
+    alpha = (0.2, 0.3, 0.5)
+    stacked = ga_optimize(poly8, ev8, alpha, p)
+    f_weighted = ev8.f_weighted
+    monkeypatch.setattr(ev8, "f_weighted",
+                        lambda d, a: np.array([f_weighted(row, a) for row in d]))
+    by_row = ga_optimize(poly8, ev8, alpha, p)
+    np.testing.assert_array_equal(stacked.layout.d, by_row.layout.d)
+    assert stacked.best_trace == by_row.best_trace
+    assert stacked.f_final == by_row.f_final

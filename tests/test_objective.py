@@ -16,6 +16,7 @@ from mafh import (
     random_feasible_layout,
 )
 from mafh.ambiguity import kernel_matrix, steering
+from mafh.cli import _simplex_weights
 from mafh.objective import ObjectiveGrid
 
 ALPHA_CORNERS = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
@@ -247,6 +248,29 @@ def test_finite_diff_rejects_bad_step(ev8, equid8):
 def test_gradient_length_excludes_anchor(ev8, equid8):
     # d_{t,0} = 0 is a convention, not a variable: M_t - 1 components only
     assert ev8.grad_f_weighted(equid8.d, (1, 0, 0)).shape == (7,)
+
+
+@pytest.mark.parametrize("N", [1, 16])
+@pytest.mark.parametrize("theta_eval", [None, np.pi / 3], ids=["full", "theta_eval"])
+def test_stack_rows_match_single_calls_bit_for_bit(cfg, code8, equid8, ev8,
+                                                   theta_eval, N):
+    ev = ev8 if theta_eval is None else ObjectiveEvaluator(
+        build_grid(cfg, equid8, theta_eval=theta_eval), code8, cfg)
+    D = np.array([random_feasible_layout(8, 7.0, seed=s).d for s in range(N)])
+    for alpha in _simplex_weights(2) + [(1 / 3, 1 / 3, 1 / 3)]:
+        f, g = ev.f_weighted(D, alpha), ev.grad_f_weighted(D, alpha)
+        assert f.shape == (N,) and g.shape == (N, 7)
+        assert np.array_equal(f, [ev.f_weighted(d, alpha) for d in D])
+        assert np.array_equal(g, [ev.grad_f_weighted(d, alpha) for d in D])
+
+
+def test_one_layout_gives_a_float_and_other_shapes_raise(ev8, equid8):
+    assert type(ev8.f_weighted(equid8.d, (1 / 3, 1 / 3, 1 / 3))) is float
+    assert type(ev8.f_weighted(list(equid8.d), (1, 0, 0))) is float
+    for d in (np.full((2, 3, 7), 0.5), np.full((3, 6), 0.5), np.full(8, 0.5), 0.5):
+        for method in (ev8.f_weighted, ev8.grad_f_weighted):
+            with pytest.raises(ValidationError, match="^d: expected 7 spacings"):
+                method(d, (1, 0, 0))
 
 
 def test_evaluator_deterministic(ev8, equid8):
