@@ -15,8 +15,7 @@ from .model import (AntennaLayout, DetectionParams, FhCode, RadarConfig,
                     ValidationError, equidistant_layout, generate_fh_code,
                     load_config, load_fh_code, load_layout, parse_config,
                     random_feasible_layout, save_fh_code)
-from .objective import (ObjectiveEvaluator, ObjectiveGrid, build_grid,
-                        finite_diff_grad)
+from .objective import ObjectiveEvaluator, ObjectiveGrid, build_grid
 from .output import __version__
 from .rgpm import (FeasiblePolytope, IterRecord, RgpmResult, rgpm_multistart,
                    rgpm_optimize)
@@ -33,7 +32,7 @@ __all__ = [
     "ValidationError", "equidistant_layout", "generate_fh_code",
     "load_config", "load_fh_code", "load_layout", "parse_config",
     "random_feasible_layout", "save_fh_code",
-    "ObjectiveEvaluator", "ObjectiveGrid", "build_grid", "finite_diff_grad",
+    "ObjectiveEvaluator", "ObjectiveGrid", "build_grid",
     "FeasiblePolytope", "IterRecord", "RgpmResult", "rgpm_multistart",
     "rgpm_optimize",
     "TheoryBound", "b_min", "delay_lower_bound", "doppler_lower_bound",

@@ -322,6 +322,14 @@ def _simplex_weights(resolution: int):
             for i in range(r + 1) for j in range(r + 1 - i)]
 
 
+def _spearman(x, y) -> float:
+    """Spearman's rho, bit for bit as scipy.stats.spearmanr: Pearson r of average ranks."""
+    def ranks(v):   # a tie group shares the mean of its 1-based sorted positions
+        _, group, counts = np.unique(v, return_inverse=True, return_counts=True)
+        return (np.cumsum(counts) - (counts - 1) / 2)[group]
+    return float(np.corrcoef(np.column_stack((ranks(x), ranks(y))), rowvar=False)[1, 0])
+
+
 def cmd_tradeoff(args) -> int:
     cfg, _, det, M_t, L = _load_manifest(args)
     weights = _simplex_weights(args.resolution)
@@ -330,12 +338,10 @@ def cmd_tradeoff(args) -> int:
     rows = [(alpha, _objective_record(ev, alpha, run(alpha)[0].layout))
             for alpha in weights]
 
-    from scipy import stats   # only this command needs scipy; keep it off the others
-
     fs = {k: np.array([r[k] for _, r in rows]) for k in ("f1", "f2", "f3")}
     # a rank correlation is undefined when either column is constant
     corr = {f"spearman_{a}_{b}": math.nan if np.ptp(fs[a]) == 0 or np.ptp(fs[b]) == 0
-            else float(stats.spearmanr(fs[a], fs[b]).statistic)
+            else _spearman(fs[a], fs[b])
             for a, b in (("f1", "f3"), ("f1", "f2"), ("f2", "f3"))}
     doc = config_to_dict(cfg, ref, det)
     path = _out_dir(args) / "tradeoff.csv"

@@ -145,15 +145,27 @@ def _gram(G: np.ndarray, weight: float) -> np.ndarray:
     return H
 
 
+def _form(O: np.ndarray, H: np.ndarray):
+    """(sum_i o_i^H H o_i over the rows of O per layout, HO = conj(O) H)."""
+    HO = O.conj() @ H
+    return (O * HO).real.sum(axis=(-2, -1)), HO
+
+
+@dataclass(frozen=True, slots=True)
+class _Memo:
+    """A value kept under the exact bits it was computed from; replaced whole."""
+
+    key: object
+    value: object
+
+
 class ObjectiveEvaluator:
     """Grid-bound objective/gradient engine on raw spacing vectors, one or a stack.
 
-    The Gram matrices H1, H2, H3 depend on (grid, code, cfg) only, not on
-    the weights.  They are built here, once, read-only, and serve every
-    descent and weight triple of a command; f2 and f3 share one contraction
-    per weighted call.  ``d`` is not required to be feasible — the ambiguity
-    surface is defined for any positive spacings — which the
-    finite-difference probes rely on.
+    H1, H2, H3 are built here, once, read-only, for every descent and weight
+    triple of a command.  a2*H2 + a3*H3 is kept for the last weights, and the
+    last one-layout value pass for a gradient at its point (the accepted
+    Armijo trial).  ``d`` need not be feasible: chi is defined at any spacings > 0.
     """
 
     def __init__(self, grid: ObjectiveGrid, code: FhCode, cfg: RadarConfig):
@@ -166,70 +178,71 @@ class ObjectiveEvaluator:
         w = grid.w_theta23 / cfg.Q ** 2
         self._h2 = _gram(kernel_matrix(0.0, grid.v_samples, code, cfg), w * grid.d_v)
         self._h3 = _gram(kernel_matrix(grid.tau_samples, 0.0, code, cfg), w * grid.d_tau)
+        # without theta_eval, f1 and f2/f3 steer at the same angles
+        self._same_angles = np.array_equal(grid.theta_f23, grid.theta_samples)
+        self._h23 = self._last = None   # _Memo of the last weights / the last point
 
     # -- the Hermitian form ------------------------------------------------------
     #
-    # Each returns (energy, d energy / d x) for positions x; the derivative is
-    # None unless ``grad``.  With a_m = exp(j*2*pi*x_m*sin(theta)), moving x_k
-    # turns entry (m, p) of a a^H by j*2*pi*sin(theta)*(delta_mk - delta_pk).
-    # So with h = H^T conj(o), d(o^H H o)/d x_k = 2 Re sum(h * d o / d x_k) is
-    # -4*pi Im(row-k sum minus column-k sum of s * h), where the row s is o
-    # with each term a a^H weighted by the sine of its angle.
+    # f is sum_i o_i^H H o_i over the rows o_i of each term.  With
+    # a_m = exp(j*2*pi*x_m*sin(theta)), moving x_k turns entry (m, p) of a a^H
+    # by j*2*pi*sin(theta)*(delta_mk - delta_pk).  So with h = H^T conj(o),
+    # d(o^H H o)/d x_k = 2 Re sum(h * d o / d x_k) is -4*pi Im(row-k sum minus
+    # column-k sum of s * h), where the row s is o with each term a a^H
+    # weighted by the sine of its angle.
 
-    def _form(self, O: np.ndarray, S: np.ndarray | None, H: np.ndarray):
-        """sum_i o_i^H H o_i over the rows of O per layout; S: their sine-weighted twins."""
-        HO = O.conj() @ H
-        f = (O * HO).real.sum(axis=(-2, -1))
-        if S is None:
-            return f, None
-        K = (S * HO).sum(axis=-2).reshape(O.shape[:-2] + (self.M, self.M))
-        return f, -4.0 * np.pi * (K.sum(axis=-1) - K.sum(axis=-2)).imag
+    def _value(self, d: np.ndarray, a: tuple, bits: bytes):
+        """(f, parts) at spacings d; per term, parts holds (weight, S builder, HO)."""
+        x = np.concatenate((np.zeros(d.shape[:-1] + (1,)), np.cumsum(d, axis=-1)), axis=-1)
+        a1, a2, a3 = a
+        grid, f, parts, A = self.grid, 0.0, [], None
+        if a1 > 0.0:   # the single row u = vec(sum_t a_t a_t^H)
+            A = np.swapaxes(steering(grid.theta_samples, x), 0, -2)   # (..., T, M)
+            At, Ac = np.swapaxes(A, -1, -2), A.conj()
+            row = x.shape[:-1] + (1, -1)
+            f1, HO = _form((At @ Ac).reshape(row), self._h1)
+            f = a1 * f1
+            parts.append((a1, lambda: ((At * np.sin(grid.theta_samples)) @ Ac).reshape(row),
+                          HO))
+        if a2 > 0.0 or a3 > 0.0:   # one row o_t = vec(a_t a_t^H) per angle
+            if A is None or not self._same_angles:
+                A = np.swapaxes(steering(grid.theta_f23, x), 0, -2)
+            O = (A[..., :, None] * A.conj()[..., None, :]).reshape(A.shape[:-1] + (-1,))
+            h23 = self._h23
+            if h23 is None or h23.key != bits:
+                h23 = self._h23 = _Memo(bits, a2 * self._h2 + a3 * self._h3)
+            f23, HO = _form(O, h23.value)
+            f += f23
+            parts.append((1.0, lambda: np.sin(grid.theta_f23)[:, None] * O, HO))
+        return f, tuple(parts)
 
-    def _square(self, x: np.ndarray, grad: bool):
-        """f1 = u^H H1 u with the single row u = vec(sum_t a(theta_t) a(theta_t)^H)."""
-        theta = self.grid.theta_samples
-        A = np.swapaxes(steering(theta, x), 0, -2)   # (..., T, M); no-op for one layout
-        At, Ac = np.swapaxes(A, -1, -2), A.conj()
-        row = x.shape[:-1] + (1, -1)
-        S = ((At * np.sin(theta)) @ Ac).reshape(row) if grad else None
-        return self._form((At @ Ac).reshape(row), S, self._h1)
-
-    def _cut(self, x: np.ndarray, H: np.ndarray, grad: bool):
-        """f2/f3 = sum_t o_t^H H o_t with o_t = vec(a(theta_t) a(theta_t)^H).
-
-        ``H`` is one of ``_h2``/``_h3`` or their alpha-weighted sum, so both
-        cuts cost one contraction.
-        """
-        theta = self.grid.theta_f23
-        A = np.swapaxes(steering(theta, x), 0, -2)
-        O = (A[..., :, None] * A.conj()[..., None, :]).reshape(A.shape[:-1] + (-1,))
-        return self._form(O, np.sin(theta)[:, None] * O if grad else None, H)
+    def _finish(self, parts) -> np.ndarray:
+        """df/dd from the parts of a value pass."""
+        gx = np.zeros(parts[0][2].shape[:-2] + (self.M,))
+        for w, rows, HO in parts:
+            K = (rows() * HO).sum(axis=-2).reshape(HO.shape[:-2] + (self.M, self.M))
+            gx += w * (-4.0 * np.pi * (K.sum(axis=-1) - K.sum(axis=-2)).imag)
+        # x_m = d_1 + ... + d_m, so df/dd_i = sum_{m >= i} df/dx_m
+        return np.cumsum(gx[..., ::-1], axis=-1)[..., ::-1][..., 1:]
 
     # -- objective values and gradient -------------------------------------------
 
     def _weighted(self, d, alpha, grad: bool):
-        """(f, df/dd or None): f2 and f3 in one contraction, zero-weight terms skipped."""
+        """(f, df/dd or None) from a value pass, or from the kept one at the same bits."""
         d = np.asarray(d, dtype=float)
         if d.ndim not in (1, 2) or d.shape[-1] != self.M - 1:
             raise ValidationError(f"d: expected {self.M - 1} spacings for this code, "
                                   f"got shape {d.shape}")
-        x = np.concatenate((np.zeros(d.shape[:-1] + (1,)), np.cumsum(d, axis=-1)),
-                           axis=-1)   # element positions
-        a1, a2, a3 = _check_alpha(alpha)
-        f, gx = 0.0, np.zeros(x.shape) if grad else None
-        if a1 > 0.0:
-            f1, g1 = self._square(x, grad)
-            f = a1 * f1
-            if grad:
-                gx += a1 * g1
-        if a2 > 0.0 or a3 > 0.0:
-            f23, g23 = self._cut(x, a2 * self._h2 + a3 * self._h3, grad)
-            f += f23
-            if grad:
-                gx += g23
-        f = f if d.ndim == 2 else float(f)
-        # x_m = d_1 + ... + d_m, so df/dd_i = sum_{m >= i} df/dx_m
-        return f, np.cumsum(gx[..., ::-1], axis=-1)[..., ::-1][..., 1:] if grad else None
+        a = _check_alpha(alpha)
+        key = (np.array(a).tobytes(), d.shape, d.tobytes())   # bits: -0.0 is not 0.0
+        last = self._last
+        if last is not None and last.key == key:
+            f, parts = last.value
+        else:
+            f, parts = self._value(d, a, key[0])
+            if d.ndim == 1:   # stacks (GA generations) are not kept
+                self._last = _Memo(key, (f, parts))
+        return (f if d.ndim == 2 else float(f)), self._finish(parts) if grad else None
 
     def f_weighted(self, d, alpha):
         """Weighted objective of ``d``, or of each row of a stack; unit weights: one domain."""
@@ -238,21 +251,3 @@ class ObjectiveEvaluator:
     def grad_f_weighted(self, d, alpha) -> np.ndarray:
         """Analytic gradient of f_weighted w.r.t. the M_t - 1 spacings (per row of a stack)."""
         return self._weighted(d, alpha, True)[1]
-
-
-def finite_diff_grad(ev: ObjectiveEvaluator, alpha, d, h: float = 1e-6) -> np.ndarray:
-    """Central-difference oracle for ``ev.grad_f_weighted``, step ``h`` in wavelengths.
-
-    Probes d +/- h*e_i directly on the spacing vector (the objective is
-    defined for any positive spacings, so no feasibility clamp is needed).
-    """
-    if not h > 0:
-        raise ValidationError(f"h: expected a positive step, got {h}")
-    d = np.asarray(d, dtype=float)
-    g = np.zeros(d.size)
-    for i in range(d.size):
-        dp, dm = d.copy(), d.copy()
-        dp[i] += h
-        dm[i] -= h
-        g[i] = (ev.f_weighted(dp, alpha) - ev.f_weighted(dm, alpha)) / (2.0 * h)
-    return g

@@ -129,7 +129,7 @@ def _armijo(fval, f0: float, d: np.ndarray, direction: np.ndarray,
     return None, f0, True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterRecord:
     """One optimizer trace row."""
 

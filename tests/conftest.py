@@ -33,3 +33,17 @@ def ev8(cfg, code8, equid8):
     # full-grid evaluator of every 8-element, 7-wavelength-budget layout:
     # the grid depends on the layout through M_t and L only
     return ObjectiveEvaluator(build_grid(cfg, equid8), code8, cfg)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """A one-item list: the evaluator value passes (``_value`` calls) of this test."""
+    count = [0]
+    value = ObjectiveEvaluator._value
+
+    def counting(self, *args):
+        count[0] += 1
+        return value(self, *args)
+
+    monkeypatch.setattr(ObjectiveEvaluator, "_value", counting)
+    return count

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import mafh
-from mafh import FhCode, RadarConfig, generate_fh_code, save_fh_code
-from mafh.cli import main
+from mafh import FhCode, RadarConfig, generate_fh_code, rgpm_multistart, save_fh_code
+from mafh.cli import _objective_record, _simplex_weights, _spearman, main
 
 
 def _body(path):
@@ -389,15 +389,43 @@ def test_tradeoff_constant_columns_write_nan(tmp_path):
         assert f"# {key}=nan\n" in text
 
 
-def test_cli_import_loads_no_scipy():
-    """Only ``tradeoff`` needs scipy, so the other commands do not pay its import."""
+def test_spearman_matches_scipy_bit_for_bit(poly8, ev8):
+    from scipy import stats
+
+    def same(x, y):
+        return (np.float64(_spearman(x, y)).tobytes()
+                == np.float64(stats.spearmanr(x, y).statistic).tobytes())
+
+    # the columns of `tradeoff --resolution 5` at seed 0
+    rows = [_objective_record(ev8, alpha, rgpm_multistart(poly8, ev8, alpha)[0].layout)
+            for alpha in _simplex_weights(5)]
+    fs = {k: np.array([r[k] for r in rows]) for k in ("f1", "f2", "f3")}
+    assert all(same(fs[a], fs[b]) for a, b in (("f1", "f3"), ("f1", "f2"), ("f2", "f3")))
+    rng = np.random.default_rng(0)
+    checked = 0
+    for _ in range(1000):
+        n = int(rng.integers(2, 25))
+        x, y = rng.integers(0, int(rng.integers(2, 8)), (2, n)).astype(float)
+        if rng.random() < 0.3:
+            y = rng.standard_normal(n)
+        if np.ptp(x) > 0 and np.ptp(y) > 0:    # ties, but no constant column
+            assert same(x, y), (x, y)
+            checked += 1
+    assert checked > 500
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    """No command imports scipy, ``tradeoff`` included (its Spearman is numpy's)."""
     src = str(Path(mafh.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, mafh.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    loaded = "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    for run in ("", f"mafh.cli.main(['tradeoff', '--resolution', '1', "
+                    f"'--out-dir', {str(tmp_path)!r}]); "):
+        out = subprocess.run([sys.executable, "-c", f"import sys, mafh.cli; {run}{loaded}"],
+                             env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert "spearman_f1_f3=nan" not in (tmp_path / "tradeoff.csv").read_text()
 
 
 def test_detect_smoke_and_matched_tie(tmp_path):

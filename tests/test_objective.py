@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from mafh import (
     RadarConfig,
     ValidationError,
     build_grid,
-    finite_diff_grad,
     generate_fh_code,
     random_feasible_layout,
 )
@@ -20,6 +21,24 @@ from mafh.cli import _simplex_weights
 from mafh.objective import ObjectiveGrid
 
 ALPHA_CORNERS = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+
+
+def finite_diff_grad(ev: ObjectiveEvaluator, alpha, d, h: float = 1e-6) -> np.ndarray:
+    """Central-difference oracle for ``ev.grad_f_weighted``, step ``h`` in wavelengths.
+
+    Probes d +/- h*e_i directly on the spacing vector (the objective is
+    defined for any positive spacings, so no feasibility clamp is needed).
+    """
+    if not h > 0:
+        raise ValidationError(f"h: expected a positive step, got {h}")
+    d = np.asarray(d, dtype=float)
+    g = np.zeros(d.size)
+    for i in range(d.size):
+        dp, dm = d.copy(), d.copy()
+        dp[i] += h
+        dm[i] -= h
+        g[i] = (ev.f_weighted(dp, alpha) - ev.f_weighted(dm, alpha)) / (2.0 * h)
+    return g
 
 
 def _scaled_grid(g, cfg, k1, k2, k3):
@@ -305,3 +324,88 @@ def test_refinement_is_cauchy(cfg, code8, equid8, ev8):
     f4x = ObjectiveEvaluator(_scaled_grid(ev8.grid, cfg, 4, 4, 4), code8,
                              cfg).f_weighted(equid8.d, alpha)
     assert abs(f4x - f2x) < abs(f2x - f1x)
+
+
+def _bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("theta_eval", [None, np.pi / 3], ids=["full", "theta_eval"])
+def test_gradient_at_the_last_value_point_finishes_that_pass(cfg, code8, equid8, passes,
+                                                              theta_eval):
+    grid = build_grid(cfg, equid8, theta_eval=theta_eval)
+    ev = ObjectiveEvaluator(grid, code8, cfg)
+    d = random_feasible_layout(8, 7.0, seed=4).d
+    for alpha in _simplex_weights(2):
+        ev.f_weighted(d, alpha)
+        before = passes[0]
+        g = ev.grad_f_weighted(d, alpha)
+        assert passes[0] == before          # no second pass at the same point
+        fresh = ObjectiveEvaluator(grid, code8, cfg).grad_f_weighted(d, alpha)
+        assert _bits(g) == _bits(fresh)
+
+
+def test_last_point_is_keyed_by_shape(ev8, passes):
+    """A (1, M_t - 1) stack and its one row share their bytes but no record."""
+    alpha = (1 / 3, 1 / 3, 1 / 3)
+    D = random_feasible_layout(8, 7.0, seed=8).d[None, :]
+    ev8.f_weighted(D, alpha)
+    ev8.grad_f_weighted(D, alpha)            # a stack is not kept
+    g_row = ev8.grad_f_weighted(D[0], alpha)
+    assert passes[0] == 3
+    g_stack = ev8.grad_f_weighted(D, alpha)  # the kept row has another shape
+    assert passes[0] == 4 and g_row.shape == (7,) and g_stack.shape == (1, 7)
+    assert _bits(g_stack[0]) == _bits(g_row)
+
+
+def test_last_point_misses_after_an_in_place_change(cfg, code8, ev8):
+    alpha = (0.5, 0.0, 0.5)
+    d = random_feasible_layout(8, 7.0, seed=9).d.copy()
+    ev8.f_weighted(d, alpha)
+    d[3] += 0.01
+    fresh = ObjectiveEvaluator(ev8.grid, code8, cfg).grad_f_weighted(d, alpha)
+    assert _bits(ev8.grad_f_weighted(d, alpha)) == _bits(fresh)
+
+
+def test_negative_zero_weight_gets_no_shared_gram(cfg, code8, ev8):
+    d = random_feasible_layout(8, 7.0, seed=10).d
+    grams = []
+    for alpha in [(0.5, 0.0, 0.5), (0.5, -0.0, 0.5), (0.0, 0.5, 0.5), (-0.0, 0.5, 0.5)]:
+        f, g = ev8.f_weighted(d, alpha), ev8.grad_f_weighted(d, alpha)
+        grams.append(ev8._h23.value)
+        assert _bits(grams[-1]) == _bits(alpha[1] * ev8._h2 + alpha[2] * ev8._h3)
+        fresh = ObjectiveEvaluator(ev8.grid, code8, cfg)
+        assert _bits(g, f) == _bits(fresh.grad_f_weighted(d, alpha),
+                                    fresh.f_weighted(d, alpha))
+    assert len({id(H) for H in grams}) == 4
+
+
+def test_threads_sharing_an_evaluator_get_their_own_gradients(cfg, code8, equid8):
+    """The kept pass is one object written once, so a gradient never finishes
+    another thread's pass: each thread's value-then-gradient calls at its own
+    point and weights return the single-threaded bits."""
+    ev = ObjectiveEvaluator(build_grid(cfg, equid8), code8, cfg)
+    jobs = [(random_feasible_layout(8, 7.0, seed=s).d, alpha)
+            for s, alpha in enumerate(_simplex_weights(2))]
+    want = [_bits(ObjectiveEvaluator(ev.grid, code8, cfg).grad_f_weighted(d, a))
+            for d, a in jobs]
+    got = [[] for _ in jobs]
+
+    def work(i):
+        d, alpha = jobs[i]
+        for _ in range(20):
+            ev.f_weighted(d, alpha)
+            got[i].append(_bits(ev.grad_f_weighted(d, alpha)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 20 for w in want]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from mafh import (
     AntennaLayout,
     FeasiblePolytope,
+    IterRecord,
     ObjectiveEvaluator,
     RadarConfig,
     ValidationError,
@@ -418,3 +420,36 @@ def test_working_set_change_restarts_search_at_omega0(monkeypatch, ev8, poly8):
     assert changed and searches[0][1] == OMEGA0
     assert all(searches[i][1] == OMEGA0 for i in changed)
     assert any(omega0 != OMEGA0 for _, omega0 in searches)
+
+
+def _result_bits(r):
+    """Everything a descent reports, as bytes and exact reprs."""
+    return (r.layout.d.tobytes(), np.array([dataclasses.astuple(t) for t in r.trace]).tobytes(),
+            repr(r.certificate), r.f_evals, repr(r.f_final))
+
+
+def test_multistart_does_not_depend_on_the_kept_pass(monkeypatch, passes, ev8, poly8):
+    """Each gradient finishes the value pass at its point; clearing the kept
+    pass and weights before every call gives the same descents, bit for bit."""
+    kept = {alpha: rgpm_multistart(poly8, ev8, alpha, n_starts=4, seed=0)[1]
+            for alpha in _simplex_weights(2)}
+    # every gradient lands on the accepted trial, the last value point
+    assert passes[0] == sum(r.f_evals for runs in kept.values() for r in runs)
+
+    weighted = ObjectiveEvaluator._weighted
+
+    def cleared(self, d, alpha, grad):
+        self._last = self._h23 = None
+        return weighted(self, d, alpha, grad)
+
+    monkeypatch.setattr(ObjectiveEvaluator, "_weighted", cleared)
+    for alpha, runs in kept.items():
+        again = rgpm_multistart(poly8, ev8, alpha, n_starts=4, seed=0)[1]
+        assert [_result_bits(r) for r in again] == [_result_bits(r) for r in runs]
+
+
+def test_trace_rows_have_slots():
+    row = IterRecord(k=1, f=2.0, grad_norm=0.5, active_count=1, omega=0.25)
+    assert not hasattr(row, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.f = 1.0
