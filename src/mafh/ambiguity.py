@@ -297,7 +297,7 @@ def af_slice(axis: str, layout: AntennaLayout, code: FhCode, cfg: RadarConfig,
     return AmbiguitySlice(axis=axis, coords=coords, values=vals)
 
 
-def matched_cut(axis: str, coords, layout: AntennaLayout, code: FhCode,
+def matched_cut(axis: str, coords, layout, code: FhCode,
                 cfg: RadarConfig, theta: float) -> np.ndarray:
     """|chi| at ``coords`` along one axis, the other coordinates matched.
 
@@ -306,18 +306,26 @@ def matched_cut(axis: str, coords, layout: AntennaLayout, code: FhCode,
     delay:   |chi(tau, 0, theta, theta)| over tau (s).
     The coordinates are used as given.  The angular cut goes through the
     full kernel, so it stays exact for any hop product, not only integer
-    delta_f*delta_t.
+    delta_f*delta_t.  ``layout`` may also be a sequence of N layouts: one
+    kernel table then serves all of them, and row i of the (N, ...) result
+    is the single-layout cut of layout i, bit for bit.
     """
-    _check_pair(layout, code, cfg)
+    layouts = [layout] if isinstance(layout, AntennaLayout) else list(layout)
+    for lay in layouts:
+        _check_pair(lay, code, cfg)
     coords = np.asarray(coords, dtype=float)
-    a = b = steering(theta, layout.x)
     if axis == "angular":
         G = kernel_matrix(0.0, 0.0, code, cfg)
-        b = steering(coords, layout.x)
     elif axis == "doppler":
         G = kernel_matrix(0.0, coords, code, cfg)
     elif axis == "delay":
         G = kernel_matrix(coords, 0.0, code, cfg)
     else:
         raise ValidationError(f"axis: expected one of {_AXES}, got {axis!r}")
-    return np.abs(np.einsum("...mn,m,...n->...", G, a, b.conj())) / cfg.Q
+    cuts = []
+    for lay in layouts:
+        a = b = steering(theta, lay.x)
+        if axis == "angular":
+            b = steering(coords, lay.x)
+        cuts.append(np.abs(np.einsum("...mn,m,...n->...", G, a, b.conj())) / cfg.Q)
+    return cuts[0] if isinstance(layout, AntennaLayout) else np.array(cuts)

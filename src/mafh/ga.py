@@ -1,13 +1,14 @@
 """Real-coded genetic algorithm baseline over the spacing polytope.
 
-Chromosome = spacing vector.  Tournament selection (size 2), blend
-crossover (per-gene uniform mix), additive Gaussian mutation, elitism of one,
-and a repair step that first clamps genes to the half-wavelength floor and
-then scales the excess above the floor down until the aperture budget holds.
-Each generation is scored in one ``ObjectiveEvaluator.f_weighted`` call on
-the stack of its layouts (the initial population, then the children; the
-elite keeps its known fitness).  Everything is driven by one seeded
-generator, so results are deterministic in (params, evaluator, weights).
+Chromosome = spacing vector.  Tournament selection (size 2), blend crossover
+(per-gene uniform mix), additive Gaussian mutation, elitism of one, and a repair step
+that first clamps genes to the half-wavelength floor and then scales the excess above
+the floor down until the aperture budget holds.  Each generation is scored in one
+``ObjectiveEvaluator.f_weighted`` call on the stack of its layouts (the initial
+population, then the children; the elite keeps its known fitness).  Everything is
+driven by one seeded generator, so results are deterministic in (params, evaluator,
+weights).  Tournaments draw two scalar ``integers(0, P)`` and uniforms come from
+``random``: the stream of one size-2 draw and of ``uniform`` (0 + 1*u), at less cost.
 """
 
 from __future__ import annotations
@@ -66,31 +67,30 @@ def ga_optimize(poly: FeasiblePolytope, ev: ObjectiveEvaluator, alpha,
     """Minimize ``ev.f_weighted`` at weights ``alpha``; deterministic in the seed."""
     alpha = _check_alpha(alpha)
     params = params or GaParams()
-    n, L = poly.n, poly.L
+    n, L, P = poly.n, poly.L, params.population
     rng = np.random.default_rng(params.seed)
 
-    pop = np.array([random_feasible_layout(n + 1, L, rng).d
-                    for _ in range(params.population)])
+    pop = np.array([random_feasible_layout(n + 1, L, rng).d for _ in range(P)])
     fit = ev.f_weighted(pop, alpha)
     trace = [float(fit.min())]
 
     for _ in range(params.generations):
-        order = np.argsort(fit, kind="stable")
-        elite = pop[order[0]].copy()
-        elite_fit = float(fit[order[0]])
+        best = int(np.argmin(fit))
+        elite, elite_fit = pop[best].copy(), float(fit[best])
+        f = fit.tolist()
 
         children = [elite]
-        while len(children) < params.population:
+        while len(children) < P:
             # tournament of two per parent
-            i, j = rng.integers(0, params.population, size=2)
-            p1 = pop[i] if fit[i] <= fit[j] else pop[j]
-            i, j = rng.integers(0, params.population, size=2)
-            p2 = pop[i] if fit[i] <= fit[j] else pop[j]
-            child = p1.copy()
-            if rng.uniform() < P_CROSS:
-                mix = rng.uniform(size=n)
+            i, j = rng.integers(0, P), rng.integers(0, P)
+            p1 = pop[i] if f[i] <= f[j] else pop[j]
+            i, j = rng.integers(0, P), rng.integers(0, P)
+            p2 = pop[i] if f[i] <= f[j] else pop[j]
+            child = p1
+            if rng.random() < P_CROSS:
+                mix = rng.random(n)
                 child = mix * p1 + (1.0 - mix) * p2
-            mutate = rng.uniform(size=n) < P_MUT
+            mutate = rng.random(n) < P_MUT
             if mutate.any():
                 child = child + mutate * rng.normal(0.0, SIGMA_MUT, size=n)
             children.append(_repair(child, L))
@@ -100,5 +100,5 @@ def ga_optimize(poly: FeasiblePolytope, ev: ObjectiveEvaluator, alpha,
         trace.append(float(fit.min()))
 
     best = int(np.argmin(fit))
-    layout = AntennaLayout(d=pop[best], L=L)
-    return GaResult(layout=layout, best_trace=tuple(trace), f_final=float(fit[best]))
+    return GaResult(layout=AntennaLayout(d=pop[best], L=L), best_trace=tuple(trace),
+                    f_final=float(fit[best]))

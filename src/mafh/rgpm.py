@@ -11,7 +11,9 @@ and dropping the row with the most negative multiplier.  Step length comes
 from a monotone backtracking Armijo search.  Its first trial, the
 Barzilai-Borwein step s's/s'y (s, y: the last step's changes in d and P g) on an
 unchanged working set with s'y > 0 and ``OMEGA0`` otherwise, is capped at the
-largest feasible step, so every iterate stays inside the polytope.
+largest feasible step, so every iterate stays inside the polytope.  Each iterate
+computes its slacks once, as Python floats, for the active rows and the step cap;
+the reductions that decide bits (sums, the free mean, norms, dot products) stay numpy.
 """
 
 from __future__ import annotations
@@ -59,21 +61,19 @@ class FeasiblePolytope:
         return bool(np.all(self.slacks(d) >= -FEASIBILITY_TOL))
 
 
-def _active_indices(d: np.ndarray, poly: FeasiblePolytope) -> np.ndarray:
-    """Rows satisfied with equality (|slack| <= FEASIBILITY_TOL), in row order.
+def _active_indices(slack: list) -> list:
+    """Rows whose ``slack`` (``poly.slacks(d)`` as floats) is within FEASIBILITY_TOL of 0.
 
-    Raises if the point is infeasible beyond the tolerance.
+    In row order; raises if the point is infeasible beyond the tolerance.
     """
-    s = poly.slacks(d)
-    if np.any(s < -FEASIBILITY_TOL):
-        worst = int(np.argmin(s))
-        raise ValidationError(
-            f"d: infeasible point, constraint row {worst} violated by {-s[worst]:.3g}"
-        )
-    return np.flatnonzero(np.abs(s) <= FEASIBILITY_TOL)
+    worst = min(slack)
+    if worst < -FEASIBILITY_TOL:
+        raise ValidationError(f"d: infeasible point, constraint row "
+                              f"{slack.index(worst)} violated by {-worst:.3g}")
+    return [i for i, s in enumerate(slack) if abs(s) <= FEASIBILITY_TOL]
 
 
-def _project(g: np.ndarray, working) -> tuple[np.ndarray, np.ndarray]:
+def _project(g: np.ndarray, working) -> tuple[np.ndarray, list]:
     """(P g, multipliers) for the working rows, multipliers in ``working`` order.
 
     Raises when every floor and the budget are in the working set: those
@@ -81,46 +81,43 @@ def _project(g: np.ndarray, working) -> tuple[np.ndarray, np.ndarray]:
     """
     n = g.size
     fixed = [i for i in working if i < n]
-    budget = n in working
-    if budget and len(fixed) == n:
-        raise ValidationError("active constraint rows are linearly dependent")
-    free = np.ones(n, dtype=bool)
-    free[fixed] = False
-    mu = float(g[free].mean()) if budget else 0.0
-    pg = np.where(free, g - mu, 0.0)
-    u = np.array([g[i] - mu if i < n else -mu for i in working])
-    return pg, u
+    mu = 0.0
+    if n in working:
+        if len(fixed) == n:
+            raise ValidationError("active constraint rows are linearly dependent")
+        free = np.ones(n, dtype=bool)
+        free[fixed] = False
+        mu = float(g[free].mean())
+    pg = g - mu
+    pg[fixed] = 0.0
+    gl = g.tolist()
+    return pg, [gl[i] - mu if i < n else -mu for i in working]
 
 
-def _max_feasible_step(d: np.ndarray, direction: np.ndarray,
-                       poly: FeasiblePolytope, working) -> float:
-    """Largest omega that keeps d - omega*direction inside the polytope.
+def _max_feasible_step(slack: list, direction: np.ndarray, working) -> float:
+    """Largest omega that keeps d - omega*direction inside the polytope (slacks at d).
 
     Rows of the working set are not blocking: ``direction`` lies in their
     null space, and the roundoff left in ``along`` (the rate each slack
     shrinks at) would otherwise cap the step at their zero slack.
     """
-    slack = np.maximum(poly.slacks(d), 0.0)
-    along = np.append(direction, -direction.sum())
-    scale = max(1.0, float(np.abs(direction).max()))
-    blocking = along > 1e-15 * scale
-    blocking[list(working)] = False
-    if not np.any(blocking):
-        return np.inf
-    return float(np.min(slack[blocking] / along[blocking]))
+    along = direction.tolist()
+    tiny = 1e-15 * max(1.0, max(map(abs, along)))
+    along.append(-float(direction.sum()))
+    return min((max(s, 0.0) / a for i, (s, a) in enumerate(zip(slack, along))
+                if a > tiny and i not in working), default=np.inf)
 
 
 def _armijo(fval, f0: float, d: np.ndarray, direction: np.ndarray,
-            poly: FeasiblePolytope, working, omega0: float = OMEGA0):
+            slack: list, working, omega0: float = OMEGA0):
     """Backtrack along d - omega*direction from omega0.  Returns (omega, f_new, stalled).
 
-    ``working`` lists the constraint rows ``direction`` was projected onto.
+    ``slack`` holds the slacks at d, ``working`` the rows ``direction`` was projected onto.
     """
     norm2 = float(direction @ direction)
     if norm2 == 0.0:
         raise ValidationError("descent direction is zero")
-    cap = _max_feasible_step(d, direction, poly, working)
-    omega = min(omega0, cap)
+    omega = min(omega0, _max_feasible_step(slack, direction, working))
     while omega >= OMEGA_MIN:
         f_new = fval(d - omega * direction)
         if f_new <= f0 - SIGMA * omega * norm2:
@@ -199,28 +196,30 @@ def rgpm_optimize(d0: AntennaLayout, poly: FeasiblePolytope,
     while reason is None and k < K_max:
         k += 1
         g = ev.grad_f_weighted(d, alpha)
-        idx = list(_active_indices(d, poly))
+        slack = (d - 0.5).tolist() + [poly.L - float(d.sum())]   # poly.slacks(d)
+        idx = _active_indices(slack)
         min_u = None
         while True:
             pg, u = _project(g, idx)
             norm = float(np.linalg.norm(pg))
             if norm >= T_threshold:
                 break
-            min_u = float(u.min()) if idx else None
+            min_u = min(u) if idx else None
             if min_u is None or min_u >= 0.0:
                 reason = "kkt-multipliers" if idx else "interior-gradient"
                 break
-            idx.pop(int(np.argmin(u)))
+            idx.pop(u.index(min_u))
 
         omega = 0.0
         if reason is None:
             omega0 = OMEGA0
             if prev is not None and prev[2] == idx:
                 s, y = d - prev[0], pg - prev[1]
-                if s @ y > 0.0:
-                    omega0 = float(s @ s / (s @ y))
+                sy = float(s @ y)
+                if sy > 0.0:
+                    omega0 = float(s @ s) / sy
             prev = (d, pg, idx)
-            step, f_new, stalled = _armijo(fval, f_cur, d, pg, poly, idx, omega0)
+            step, f_new, stalled = _armijo(fval, f_cur, d, pg, slack, idx, omega0)
             if stalled:
                 reason = "stalled"
             else:

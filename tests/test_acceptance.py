@@ -33,6 +33,7 @@ from scipy import stats
 
 from mafh import (
     AmbiguityQuery,
+    AmbiguitySlice,
     AntennaLayout,
     DetectionParams,
     FeasiblePolytope,
@@ -162,14 +163,17 @@ def test_criterion_04_sidelobe_lower_bounds_hold(cfg, code8):
     min_gap = np.inf
     checked = 0
     for code, M_t, layouts in panels:
-        for axis, bound_fn in (("doppler", doppler_lower_bound),
-                               ("delay", delay_lower_bound)):
-            bound = None
-            for lay in layouts:
-                s = af_slice(axis, lay, code, cfg, theta=theta, n_points=481)
-                if bound is None:   # the bound is layout independent
-                    bound = bound_fn(s.coords, code, cfg, M_t)
-                g = bound_gap(s, bound)
+        for axis, half, bound_fn in (("doppler", cfg.f_max, doppler_lower_bound),
+                                     ("delay", cfg.T_w, delay_lower_bound)):
+            # af_slice's default 481-point grid, which already holds the matched 0
+            coords = np.linspace(-half, half, 481)
+            assert coords[240] == 0.0
+            bound = bound_fn(coords, code, cfg, M_t)   # layout independent
+            # one kernel table per (code, axis); each row equals af_slice's values
+            cuts = matched_cut(axis, coords, layouts, code, cfg, theta)
+            for values in cuts:
+                g = bound_gap(AmbiguitySlice(axis=axis, coords=coords, values=values),
+                              bound)
                 violations += g.violation_count
                 min_gap = min(min_gap, g.min_gap)
                 checked += 1

@@ -23,6 +23,7 @@ from mafh import (
     mmlwd_layout,
     random_feasible_layout,
 )
+from mafh import ambiguity
 from mafh.ambiguity import kernel_matrix, matched_cut
 
 
@@ -183,6 +184,24 @@ def test_af_slice_matches_pointwise_chi(cfg, code8):
                                theta=th, theta_p=c if axis == "angular" else th)
             assert_allclose(s.values[i], abs(chi(q, lay, code8, cfg)),
                             rtol=0, atol=1e-12, err_msg=axis)
+
+
+@pytest.mark.parametrize("axis", ["angular", "doppler", "delay"])
+def test_matched_cut_stacks_layouts_bit_for_bit(monkeypatch, cfg, code8, axis):
+    """A sequence of layouts shares one kernel table; each row is its single cut."""
+    layouts = [random_feasible_layout(8, 20.0, seed=i) for i in range(4)]
+    layouts.append(mmlwd_layout(8, 7.0))
+    s = af_slice(axis, layouts[0], code8, cfg, theta=np.pi / 3, n_points=121)
+    singles = [matched_cut(axis, s.coords, lay, code8, cfg, np.pi / 3) for lay in layouts]
+    tables = []
+    monkeypatch.setattr(ambiguity, "kernel_matrix",
+                        lambda *a: tables.append(a) or kernel_matrix(*a))
+    cuts = matched_cut(axis, s.coords, layouts, code8, cfg, np.pi / 3)
+    assert len(tables) == 1
+    assert cuts.shape == (len(layouts), s.coords.size)
+    assert cuts[0].tobytes() == s.values.tobytes()
+    for row, single in zip(cuts, singles):
+        assert row.tobytes() == single.tobytes()
 
 
 def test_af_slice_angular_range(cfg, code8, equid8):

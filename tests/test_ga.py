@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from mafh import (
     AntennaLayout,
     FeasiblePolytope,
     GaParams,
+    GaResult,
     ObjectiveEvaluator,
     RadarConfig,
     ValidationError,
@@ -13,7 +16,8 @@ from mafh import (
     generate_fh_code,
     rgpm_multistart,
 )
-from mafh.ga import _repair
+from mafh.ga import P_CROSS, P_MUT, SIGMA_MUT, _repair
+from mafh.model import random_feasible_layout
 
 F1 = (1.0, 0.0, 0.0)   # angular objective only
 
@@ -166,3 +170,58 @@ def test_ga_stacked_scoring_matches_row_by_row(ev8, poly8, monkeypatch):
     np.testing.assert_array_equal(stacked.layout.d, by_row.layout.d)
     assert stacked.best_trace == by_row.best_trace
     assert stacked.f_final == by_row.f_final
+
+
+def _reference_ga(poly, ev, alpha, params):
+    """The breeding loop as written with size-2 tournament draws and ``uniform``."""
+    n, L = poly.n, poly.L
+    rng = np.random.default_rng(params.seed)
+    pop = np.array([random_feasible_layout(n + 1, L, rng).d
+                    for _ in range(params.population)])
+    fit = ev.f_weighted(pop, alpha)
+    trace = [float(fit.min())]
+    for _ in range(params.generations):
+        order = np.argsort(fit, kind="stable")
+        elite = pop[order[0]].copy()
+        elite_fit = float(fit[order[0]])
+        children = [elite]
+        while len(children) < params.population:
+            i, j = rng.integers(0, params.population, size=2)
+            p1 = pop[i] if fit[i] <= fit[j] else pop[j]
+            i, j = rng.integers(0, params.population, size=2)
+            p2 = pop[i] if fit[i] <= fit[j] else pop[j]
+            child = p1.copy()
+            if rng.uniform() < P_CROSS:
+                mix = rng.uniform(size=n)
+                child = mix * p1 + (1.0 - mix) * p2
+            mutate = rng.uniform(size=n) < P_MUT
+            if mutate.any():
+                child = child + mutate * rng.normal(0.0, SIGMA_MUT, size=n)
+            children.append(_repair(child, L))
+        pop = np.asarray(children)
+        fit = np.concatenate(([elite_fit], ev.f_weighted(pop[1:], alpha)))
+        trace.append(float(fit.min()))
+    best = int(np.argmin(fit))
+    return GaResult(layout=AntennaLayout(d=pop[best], L=L), best_trace=tuple(trace),
+                    f_final=float(fit[best]))
+
+
+@pytest.fixture(scope="module")
+def ev4(cfg):
+    lay = AntennaLayout(d=np.full(3, 0.5), L=3.0)
+    return (ObjectiveEvaluator(build_grid(cfg, lay), generate_fh_code(cfg, 4, seed=0), cfg),
+            FeasiblePolytope.spacing_bounds(4, 3.0))
+
+
+@pytest.mark.parametrize("M_t", [4, 8])
+def test_ga_keeps_the_reference_stream(ev4, ev8, poly8, M_t):
+    """Scalar tournament draws and ``random`` give the stream of size-2 draws
+    and ``uniform``: a numpy where they differ fails here, not in GA outputs."""
+    ev, poly = ev4 if M_t == 4 else (ev8, poly8)
+    alpha = (0.2, 0.3, 0.5)
+    for seed, population in itertools.product(range(4), (2, 7, 16, 17)):
+        p = GaParams(generations=8, population=population, seed=seed)
+        got, want = ga_optimize(poly, ev, alpha, p), _reference_ga(poly, ev, alpha, p)
+        assert got.layout.d.tobytes() == want.layout.d.tobytes(), (seed, population)
+        assert got.best_trace == want.best_trace
+        assert repr(got.f_final) == repr(want.f_final)

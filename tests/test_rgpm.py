@@ -1,8 +1,11 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mafh import (
@@ -22,7 +25,8 @@ from mafh import (
 )
 from mafh import rgpm
 from mafh.cli import _simplex_weights
-from mafh.rgpm import OMEGA0, _active_indices, _armijo, _project
+from mafh.model import FEASIBILITY_TOL
+from mafh.rgpm import OMEGA0, _active_indices, _armijo, _max_feasible_step, _project
 
 F1 = (1.0, 0.0, 0.0)   # angular objective only
 
@@ -85,19 +89,23 @@ def test_polytope_rejects_wrong_length(poly8):
             poly8.contains(d)
 
 
+def _active(d, poly):
+    return _active_indices(poly.slacks(d).tolist())
+
+
 def test_active_indices_selection(poly8):
     # all seven floors bind at the half-wavelength start
-    assert_array_equal(_active_indices(np.full(7, 0.5), poly8), np.arange(7))
+    assert_array_equal(_active(np.full(7, 0.5), poly8), np.arange(7))
     # interior point: nothing binds
-    assert _active_indices(np.full(7, 0.9), poly8).size == 0
+    assert len(_active(np.full(7, 0.9), poly8)) == 0
     # width-optimal layout: six floors plus the budget row
-    idx = _active_indices(mmlwd_layout(8, 7.0).d, poly8)
-    assert idx.size == 7 and idx[-1] == 7
+    idx = _active(mmlwd_layout(8, 7.0).d, poly8)
+    assert len(idx) == 7 and idx[-1] == 7
 
 
 def test_active_indices_rejects_infeasible(poly8):
     with pytest.raises(ValidationError, match="infeasible"):
-        _active_indices(np.full(7, 0.4), poly8)
+        _active(np.full(7, 0.4), poly8)
 
 
 def test_project_matches_generic_projector():
@@ -132,11 +140,103 @@ def test_project_rejects_dependent_rows():
         _project(np.ones(1), [0, 1])
 
 
+# The bookkeeping helpers as written before each iterate shared one slack
+# vector of Python floats: numpy on every call, slacks computed per helper.
+# The helpers above must give the same rows, P g, multipliers and step cap,
+# bit for bit.
+
+def _ref_active_indices(d, poly):
+    s = poly.slacks(d)
+    if np.any(s < -FEASIBILITY_TOL):
+        worst = int(np.argmin(s))
+        raise ValidationError(
+            f"d: infeasible point, constraint row {worst} violated by {-s[worst]:.3g}"
+        )
+    return np.flatnonzero(np.abs(s) <= FEASIBILITY_TOL)
+
+
+def _ref_project(g, working):
+    n = g.size
+    fixed = [i for i in working if i < n]
+    budget = n in working
+    if budget and len(fixed) == n:
+        raise ValidationError("active constraint rows are linearly dependent")
+    free = np.ones(n, dtype=bool)
+    free[fixed] = False
+    mu = float(g[free].mean()) if budget else 0.0
+    pg = np.where(free, g - mu, 0.0)
+    u = np.array([g[i] - mu if i < n else -mu for i in working])
+    return pg, u
+
+
+def _ref_max_feasible_step(d, direction, poly, working):
+    slack = np.maximum(poly.slacks(d), 0.0)
+    along = np.append(direction, -direction.sum())
+    scale = max(1.0, float(np.abs(direction).max()))
+    blocking = along > 1e-15 * scale
+    blocking[list(working)] = False
+    if not np.any(blocking):
+        return np.inf
+    return float(np.min(slack[blocking] / along[blocking]))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+# offsets from a constraint that straddle the activity tolerance
+_NEAR = st.sampled_from([k * FEASIBILITY_TOL for k in (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)])
+
+
+@st.composite
+def _bookkeeping_case(draw):
+    """A point on, near or inside the spacing polytope, a gradient and a working set."""
+    n = draw(st.integers(1, 8))
+    d = np.array([0.5 + draw(st.one_of(_NEAR, st.floats(0.0, 1.5))) for _ in range(n)])
+    L = float(d.sum()) + draw(st.one_of(_NEAR, st.floats(0.0, 2.0)))
+    assume(L >= 0.5 * n - FEASIBILITY_TOL)
+    # entries at the 1e-15 blocking threshold of a unit-scale direction included
+    entry = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([1e-15, -1e-15, 1.0]))
+    g = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    working = draw(st.one_of(st.just([n]), st.lists(st.integers(0, n), unique=True,
+                                                   max_size=n + 1)))
+    return FeasiblePolytope(n=n, L=L), d, g, working, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_bookkeeping_case())
+def test_bookkeeping_matches_reference_bit_for_bit(case):
+    poly, d, g, working, own = case
+    slack = poly.slacks(d).tolist()
+    try:
+        rows = _ref_active_indices(d, poly).tolist()
+    except ValidationError as err:
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(err))}$"):
+            _active_indices(slack)
+    else:
+        assert _active_indices(slack) == rows
+        if own and len(rows) <= poly.n:
+            working = rows   # the working set a descent starts from
+    if len(working) == poly.n + 1:
+        for project in (_project, _ref_project):
+            with pytest.raises(ValidationError, match="dependent"):
+                project(g, working)
+        return
+    pg, u = _project(g, working)
+    pg_ref, u_ref = _ref_project(g, working)
+    assert _bits(pg) == _bits(pg_ref)
+    assert _bits(u) == _bits(u_ref)
+    # P g carries roundoff on the budget row when that row is in the working set
+    for direction in (pg_ref, g, -g):
+        assert _bits(_max_feasible_step(slack, direction, working)) == _bits(
+            _ref_max_feasible_step(d, direction, poly, working))
+
+
 def _line_search(ev, d, descent_dir, poly):
     """Armijo search for f_weighted along ``-descent_dir`` from ``d``, no working set."""
     def f(y):
         return ev.f_weighted(y, F1)
-    return _armijo(f, f(d), d, descent_dir, poly, [])
+    return _armijo(f, f(d), d, descent_dir, poly.slacks(d).tolist(), [])
 
 
 def test_armijo_step_respects_feasibility_cap(small):
@@ -159,7 +259,8 @@ def test_armijo_first_trial_is_capped_omega0(small):
             trials.append(y.copy())
             return ev.f_weighted(y, F1)
 
-        omega, _, stalled = _armijo(f, f(d), d, direction, poly, [], omega0)
+        omega, _, stalled = _armijo(f, f(d), d, direction, poly.slacks(d).tolist(), [],
+                                    omega0)
         assert not stalled
         assert_allclose(trials[1], d - first * direction, rtol=0, atol=1e-12)
         assert omega <= first + 1e-12
@@ -406,9 +507,9 @@ def test_working_set_change_restarts_search_at_omega0(monkeypatch, ev8, poly8):
     """A Barzilai-Borwein first trial only follows a step on the same working set."""
     searches = []
 
-    def spy(fval, f0, d, direction, poly, working, omega0=OMEGA0):
+    def spy(fval, f0, d, direction, slack, working, omega0=OMEGA0):
         searches.append((list(working), omega0))
-        return _armijo(fval, f0, d, direction, poly, working, omega0)
+        return _armijo(fval, f0, d, direction, slack, working, omega0)
 
     monkeypatch.setattr(rgpm, "_armijo", spy)
     # the fourth seed-0 start at (0, 0, 1) meets new floors as it descends
@@ -444,6 +545,36 @@ def test_multistart_does_not_depend_on_the_kept_pass(monkeypatch, passes, ev8, p
 
     monkeypatch.setattr(ObjectiveEvaluator, "_weighted", cleared)
     for alpha, runs in kept.items():
+        again = rgpm_multistart(poly8, ev8, alpha, n_starts=4, seed=0)[1]
+        assert [_result_bits(r) for r in again] == [_result_bits(r) for r in runs]
+
+
+def test_multistart_matches_reference_bookkeeping(monkeypatch, ev8, poly8):
+    """The six resolution-2 triples give the same descents, bit for bit, when
+    every helper is the reference that recomputes its own numpy slacks."""
+    shared = {alpha: rgpm_multistart(poly8, ev8, alpha, n_starts=4, seed=0)[1]
+              for alpha in _simplex_weights(2)}
+    at = {}
+    grad = ev8.grad_f_weighted
+
+    def recording(d, alpha):   # each iterate starts with the gradient at its point
+        at["d"] = d
+        return grad(d, alpha)
+
+    def active(slack):
+        assert _bits(slack) == _bits(poly8.slacks(at["d"]))
+        return _ref_active_indices(at["d"], poly8).tolist()
+
+    def project(g, working):
+        pg, u = _ref_project(g, working)
+        return pg, u.tolist()
+
+    monkeypatch.setattr(ev8, "grad_f_weighted", recording)
+    monkeypatch.setattr(rgpm, "_active_indices", active)
+    monkeypatch.setattr(rgpm, "_project", project)
+    monkeypatch.setattr(rgpm, "_max_feasible_step", lambda slack, direction, working:
+                        _ref_max_feasible_step(at["d"], direction, poly8, working))
+    for alpha, runs in shared.items():
         again = rgpm_multistart(poly8, ev8, alpha, n_starts=4, seed=0)[1]
         assert [_result_bits(r) for r in again] == [_result_bits(r) for r in runs]
 
